@@ -26,8 +26,7 @@
 //!            [--max-conns N] [--read-timeout-ms N] [--slow-job-ms N]
 //!            [--peers A,B,C] [--advertise HOST:PORT] [--probe-interval-ms N]
 //!
-//! every VM-running subcommand: [--vm-opt off|fuse|trace]
-//!                              [--instr full|filter:…|sample:…|converge:…]
+//! every VM-running subcommand: [--instr full|filter:…|sample:…|converge:…]
 //! tq submit  [--addr HOST:PORT] [--tool tquad|quad|gprof|phases]
 //!            [--app …] [--scale …] [--interval N] [--exclude-stack]
 //!            [--exclude-libs|--track-libs] [--retries N] [--timeout SECS]
@@ -137,31 +136,18 @@ struct App {
 }
 
 impl App {
-    fn make_vm(&self, opt: tq_vm::VmOpt) -> Result<tq_vm::Vm, String> {
+    fn make_vm(&self) -> Result<tq_vm::Vm, String> {
         let mut vm = tq_vm::Vm::new(self.program.clone()).map_err(|e| e.to_string())?;
-        vm.set_vm_opt(opt);
         vm.fs_mut().add_file(&self.input.0, self.input.1.clone());
         Ok(vm)
     }
 }
 
-/// Parse `--vm-opt off|fuse|trace`. Every level is observationally
-/// identical (same profiles, same captured trace bytes); the flag only
-/// trades decode-time work for interpreter speed, so each subcommand
-/// picks its own default: one-shot commands stay on `off`, the long-lived
-/// `serve` daemon defaults to `trace`.
-fn vm_opt(args: &Args, default: tq_vm::VmOpt) -> Result<tq_vm::VmOpt, String> {
-    match args.get("vm-opt") {
-        Some(v) => tq_vm::VmOpt::parse(v),
-        None => Ok(default),
-    }
-}
-
 /// Parse `--instr full|filter:…|sample:…|converge:…` (grammar in
-/// docs/CLI.md, accuracy tradeoffs in docs/ACCURACY.md). Unlike
-/// `--vm-opt`, this flag *does* change what tools observe: reduced modes
-/// trade instrumentation coverage for speed and attach an `instr` note to
-/// the resulting profile. `None` when absent or observationally full.
+/// docs/CLI.md, accuracy tradeoffs in docs/ACCURACY.md). Reduced modes
+/// change what tools observe: they trade instrumentation coverage for
+/// speed and attach an `instr` note to the resulting profile. `None`
+/// when absent or observationally full.
 fn instr_arg(args: &Args) -> Result<Option<tq_vm::InstrMode>, String> {
     match args.get("instr") {
         Some(spec) => {
@@ -230,7 +216,7 @@ fn run_profiled<T: tq_vm::MergeTool + 'static>(
         }
         Source::Live(app) => app,
     };
-    let mut vm = app.make_vm(vm_opt(args, tq_vm::VmOpt::Off)?)?;
+    let mut vm = app.make_vm()?;
     if let Some(mode) = instr {
         vm.set_instr_mode(mode)?;
     }
@@ -334,9 +320,6 @@ fn usage() -> String {
     "usage: tq <run|capture|gprof|tquad|quad|phases|intervals|disasm|serve|submit|\n\
      \u{20}          fleet-status|fleet-trace> [options]\n\
      common options: --app wfs|img --scale tiny|small|paper\n\
-     \u{20}               --vm-opt off|fuse|trace (interpreter optimisation level;\n\
-     \u{20}               observationally identical — same profiles, same capture\n\
-     \u{20}               bytes — only faster; default off, `serve` defaults trace)\n\
      \u{20}               --jobs N (record once, shard the replay over N threads;\n\
      \u{20}               the profile is byte-identical to a sequential run)\n\
      \u{20}               --capture FILE (gprof/tquad/quad/phases/intervals:\n\
@@ -463,8 +446,7 @@ fn run(argv: &[String]) -> Result<(), Failure> {
     match cmd.as_str() {
         "run" => {
             let app = app_for(&args)?;
-            let opt = vm_opt(&args, tq_vm::VmOpt::Off)?;
-            let mut vm = app.make_vm(opt)?;
+            let mut vm = app.make_vm()?;
             if let Some(mode) = instr_arg(&args)? {
                 vm.set_instr_mode(mode)?;
             }
@@ -491,16 +473,6 @@ fn run(argv: &[String]) -> Result<(), Failure> {
                 "code cache: {} blocks built, {} block executions, {} hits",
                 s.blocks_built, s.block_execs, s.cache_hits
             );
-            if opt != tq_vm::VmOpt::Off {
-                println!(
-                    "vm-opt {opt}: {} blocks fused, {} traces recorded, \
-                     {} side exits, {:.1}% of instructions in traces",
-                    s.blocks_fused,
-                    s.traces_recorded,
-                    s.trace_side_exits,
-                    s.trace_instr_share(exit.icount) * 100.0
-                );
-            }
             if let Some(info) = vm.instr_info() {
                 println!(
                     "instr {}: {:.1}% of instructions covered, {} filtered routine(s), \
@@ -515,12 +487,8 @@ fn run(argv: &[String]) -> Result<(), Failure> {
         "capture" => {
             // Record the workload once under the trace recorder and write
             // the encoded capture to disk — the offline artifact every
-            // analysis tool can replay. The file is byte-identical
-            // whatever `--vm-opt` level recorded it; `scripts/verify.sh`
-            // diffs an `off` capture against a `trace` capture to hold
-            // the interpreter optimisations to that contract.
+            // analysis tool can replay.
             let app = app_for(&args)?;
-            let opt = vm_opt(&args, tq_vm::VmOpt::Off)?;
             let out = args
                 .get("out")
                 .ok_or("capture requires --out FILE (the trace file to write)")?;
@@ -528,7 +496,7 @@ fn run(argv: &[String]) -> Result<(), Failure> {
                 0 => None,
                 n => Some(n),
             };
-            let mut vm = app.make_vm(opt)?;
+            let mut vm = app.make_vm()?;
             // A reduced-mode capture records fewer memory events and
             // carries its mode metadata in the file's TQIM tail, so every
             // later replay reconstructs with the gap log in hand.
@@ -565,16 +533,11 @@ fn run(argv: &[String]) -> Result<(), Failure> {
             trace
                 .save_to_path_as(std::path::Path::new(out), format)
                 .map_err(|e| format!("write {out}: {e}"))?;
-            let s = vm.stats();
             let written = std::fs::metadata(out).map(|m| m.len()).unwrap_or(0);
             println!(
                 "capture written to {out}: {} events, {written} bytes, digest {}",
                 trace.events.len(),
                 trace.digest()
-            );
-            eprintln!(
-                "# vm-opt {opt}: {} blocks fused, {} traces recorded, {} side exits",
-                s.blocks_fused, s.traces_recorded, s.trace_side_exits
             );
             if let Some(info) = vm.instr_info() {
                 eprintln!(
@@ -824,7 +787,6 @@ fn run(argv: &[String]) -> Result<(), Failure> {
                     0 => None,
                     n => Some(n),
                 },
-                vm_opt: vm_opt(&args, defaults.vm_opt)?,
                 max_conns: args.positive_u64_or("max-conns", defaults.max_conns as u64)? as usize,
                 read_timeout: match args.u64_or(
                     "read-timeout-ms",

@@ -36,12 +36,19 @@
 //! milliseconds, default value 10ms) and only matter for the delay-shaped
 //! points. `seed=N` (default 0) picks the deterministic decision stream.
 //! See `docs/OPERATIONS.md` for a cookbook of worked examples.
+//!
+//! ## Gates
+//!
+//! Tests can also arm a delay-shaped point as a *gate*
+//! ([`FaultPlan::with_gate`]): every visit blocks until the test calls
+//! [`release`]. A gate holds the service in a known state for as long as
+//! the test needs it, where a sleep only makes that state likely.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 /// Number of distinct injection points ([`FaultPoint`] variants).
@@ -112,6 +119,8 @@ pub enum Fault {
     Panic,
     /// Fail the guarded IO operation.
     Error,
+    /// Block until the point's gate is released ([`release`]).
+    Hold,
 }
 
 /// One point's injection rule: fire with `prob`, delay-shaped points sleep
@@ -123,6 +132,9 @@ pub struct Rule {
     /// Sleep length for the delay-shaped points; ignored by
     /// `worker_panic` and `cache_io_error`.
     pub delay: Duration,
+    /// A gate ([`FaultPlan::with_gate`]): visits hold until [`release`]
+    /// instead of drawing against `prob`.
+    pub gate: bool,
 }
 
 /// A parsed fault plan: a seed plus at most one [`Rule`] per point.
@@ -169,6 +181,19 @@ impl FaultPlan {
         self.rules[point.idx()] = Some(Rule {
             prob: prob.clamp(0.0, 1.0),
             delay,
+            gate: false,
+        });
+        self
+    }
+
+    /// Arm the delay-shaped `point` as a gate: from [`install`] on, every
+    /// visit blocks until [`release`] opens it (or the plan is cleared),
+    /// then passes freely.
+    pub fn with_gate(mut self, point: FaultPoint) -> FaultPlan {
+        self.rules[point.idx()] = Some(Rule {
+            prob: 1.0,
+            delay: Duration::ZERO,
+            gate: true,
         });
         self
     }
@@ -225,7 +250,11 @@ impl FaultPlan {
                 Some(d) => parse_delay(d)?,
                 None => Duration::from_millis(10),
             };
-            plan.rules[point.idx()] = Some(Rule { prob, delay });
+            plan.rules[point.idx()] = Some(Rule {
+                prob,
+                delay,
+                gate: false,
+            });
         }
         Ok(plan)
     }
@@ -240,6 +269,34 @@ static PLAN: Mutex<Option<FaultPlan>> = Mutex::new(None);
 static DRAWS: AtomicU64 = AtomicU64::new(0);
 /// Count of faults actually injected (all points).
 static INJECTED: AtomicU64 = AtomicU64::new(0);
+/// Which gates are shut (indexed by [`FaultPoint`]).
+static GATES: Mutex<[bool; N_POINTS]> = Mutex::new([false; N_POINTS]);
+/// Signalled whenever a gate opens.
+static GATE_OPENED: Condvar = Condvar::new();
+
+/// Set every gate: shut where `plan` arms one, open elsewhere.
+fn set_gates(plan: Option<&FaultPlan>) {
+    let mut gates = GATES.lock().unwrap_or_else(|e| e.into_inner());
+    for p in FaultPoint::ALL {
+        gates[p.idx()] = plan.and_then(|plan| plan.rule(p)).is_some_and(|r| r.gate);
+    }
+    GATE_OPENED.notify_all();
+}
+
+/// Open the gate at `point`: every visit blocked there resumes, and later
+/// visits pass without stopping.
+pub fn release(point: FaultPoint) {
+    GATES.lock().unwrap_or_else(|e| e.into_inner())[point.idx()] = false;
+    GATE_OPENED.notify_all();
+}
+
+/// Block while the gate at `point` is shut.
+fn wait_at_gate(point: FaultPoint) {
+    let gates = GATES.lock().unwrap_or_else(|e| e.into_inner());
+    let _open = GATE_OPENED
+        .wait_while(gates, |g| g[point.idx()])
+        .unwrap_or_else(|e| e.into_inner());
+}
 
 /// The splitmix64 step — the same generator `tq_isa::prng` seeds itself
 /// with, re-derived here to keep the crate dependency-free.
@@ -255,6 +312,7 @@ fn splitmix64(mut z: u64) -> u64 {
 pub fn install(plan: FaultPlan) {
     let mut g = PLAN.lock().unwrap_or_else(|e| e.into_inner());
     let on = !plan.is_empty();
+    set_gates(Some(&plan));
     *g = if on { Some(plan) } else { None };
     DRAWS.store(0, Ordering::Relaxed);
     INJECTED.store(0, Ordering::Relaxed);
@@ -265,6 +323,7 @@ pub fn install(plan: FaultPlan) {
 pub fn clear() {
     let mut g = PLAN.lock().unwrap_or_else(|e| e.into_inner());
     *g = None;
+    set_gates(None);
     ACTIVE.store(false, Ordering::Release);
 }
 
@@ -304,6 +363,13 @@ fn check_slow(point: FaultPoint) -> Option<Fault> {
             .and_then(|p| p.rule(point).filter(|r| r.prob > 0.0).map(|r| (r, p.seed)))
     };
     let (rule, seed) = rule?;
+    if rule.gate {
+        if !GATES.lock().unwrap_or_else(|e| e.into_inner())[point.idx()] {
+            return None;
+        }
+        INJECTED.fetch_add(1, Ordering::Relaxed);
+        return Some(Fault::Hold);
+    }
     // One draw per armed-point visit; the decision is a pure function of
     // (seed, draw index), so a given plan replays the same verdict stream.
     let n = DRAWS.fetch_add(1, Ordering::Relaxed);
@@ -329,13 +395,17 @@ pub fn check(point: FaultPoint) -> Option<Fault> {
     check_slow(point)
 }
 
-/// Convenience hook for delay-shaped points: sleep if the point fires.
-/// Returns whether a stall was injected.
+/// Convenience hook for delay-shaped points: sleep (or hold at a shut
+/// gate) if the point fires. Returns whether a stall was injected.
 #[inline]
 pub fn sleep_if(point: FaultPoint) -> bool {
     match check(point) {
         Some(Fault::Sleep(d)) => {
             std::thread::sleep(d);
+            true
+        }
+        Some(Fault::Hold) => {
+            wait_at_gate(point);
             true
         }
         _ => false,
@@ -475,6 +545,29 @@ mod tests {
         install(FaultPlan::seeded(0).with(FaultPoint::WorkerPanic, 1.0, Duration::ZERO));
         let r = std::panic::catch_unwind(|| panic_if(FaultPoint::WorkerPanic));
         assert!(r.is_err(), "p=1 worker_panic must panic");
+        clear();
+    }
+
+    #[test]
+    fn gate_holds_until_released() {
+        let _g = hold();
+        install(FaultPlan::seeded(0).with_gate(FaultPoint::SlowReplay));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let visitor = std::thread::spawn(move || {
+            let stalled = sleep_if(FaultPoint::SlowReplay);
+            tx.send(()).expect("send");
+            stalled
+        });
+        assert!(
+            rx.recv_timeout(Duration::from_millis(50)).is_err(),
+            "a shut gate holds its visitor"
+        );
+        release(FaultPoint::SlowReplay);
+        assert!(visitor.join().expect("visitor"), "the held visit counts");
+        assert_eq!(injected(), 1);
+        // An open gate lets later visits through without counting them.
+        assert!(!sleep_if(FaultPoint::SlowReplay));
+        assert_eq!(injected(), 1);
         clear();
     }
 

@@ -27,7 +27,6 @@
 pub mod asm;
 pub mod disasm;
 pub mod encode;
-pub mod fuse;
 pub mod image;
 pub mod inst;
 pub mod prng;
@@ -36,7 +35,6 @@ pub mod reg;
 pub use asm::{Asm, AsmError};
 pub use disasm::disassemble;
 pub use encode::{decode, encode, DecodeError};
-pub use fuse::{fuse_pair, fuse_triple, fuse_window, Fused};
 pub use image::{Image, ImageBuilder, Program, Routine, RoutineId};
 pub use inst::{BrCond, HostFn, Inst, MemWidth};
 pub use reg::{abi, FReg, Reg};

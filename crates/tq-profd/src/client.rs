@@ -496,12 +496,9 @@ impl Client {
         Ok((level, records))
     }
 
-    /// Fetch the encoded capture for `digest` via a chunked `peek`:
-    /// a header line declaring `frames`/`total_bytes`, then that many
-    /// bounded frame lines ([`PEEK_FRAME_BYTES`] raw bytes each). A legacy
-    /// server that predates the chunked form ignores the flag and answers
-    /// with a single `capture_hex` line, which is accepted too, so mixed
-    /// fleets keep working during a rolling upgrade.
+    /// Fetch the encoded capture for `digest` via a `peek`: a header line
+    /// declaring `frames`/`total_bytes`, then that many bounded frame
+    /// lines ([`PEEK_FRAME_BYTES`] raw bytes each).
     ///
     /// `Ok(None)` is a clean miss (the peer does not have the capture);
     /// `Err` is a transport or protocol failure.
@@ -528,7 +525,6 @@ impl Client {
             app,
             scale,
             digest: digest.to_string(),
-            chunked: true,
             job_id,
         })?;
         if !header.is_ok() {
@@ -542,31 +538,22 @@ impl Client {
         if header.0.get("digest").and_then(Json::as_str) != Some(digest) {
             return Err("peek response digest mismatch".into());
         }
-        if let Some(hex) = header.0.get("capture_hex").and_then(Json::as_str) {
-            // Legacy single-line answer from a pre-chunking server.
-            return hex_decode(hex)
-                .map(Some)
-                .ok_or_else(|| "peek capture_hex is not valid hex".into());
-        }
-        if header.0.get("chunked").and_then(Json::as_bool) != Some(true) {
-            return Err("peek response carries neither capture_hex nor chunked frames".into());
-        }
         let frames = header
             .0
             .get("frames")
             .and_then(Json::as_u64)
-            .ok_or("chunked peek header missing `frames`")? as usize;
+            .ok_or("peek header missing `frames`")? as usize;
         let total = header
             .0
             .get("total_bytes")
             .and_then(Json::as_u64)
-            .ok_or("chunked peek header missing `total_bytes`")? as usize;
+            .ok_or("peek header missing `total_bytes`")? as usize;
         // The declared sizes must be mutually consistent before any
         // allocation happens — a lying header cannot make us reserve more
         // than the frames it is about to send could ever fill.
         if total.div_ceil(PEEK_FRAME_BYTES).max(1) != frames.max(1) {
             return Err(format!(
-                "chunked peek header inconsistent: {frames} frames for {total} bytes"
+                "peek header inconsistent: {frames} frames for {total} bytes"
             ));
         }
         let mut bytes = Vec::with_capacity(total);
@@ -593,7 +580,7 @@ impl Client {
         }
         if bytes.len() != total {
             return Err(format!(
-                "chunked peek delivered {} bytes, header declared {total}",
+                "peek delivered {} bytes, header declared {total}",
                 bytes.len()
             ));
         }

@@ -18,28 +18,13 @@ use tq_trace::{Trace, TraceRecorder};
 
 /// Run the workload under the trace recorder — the one VM execution a
 /// content address ever needs. `fuel` bounds the run (a misbehaving
-/// workload must not wedge a worker forever). Records at the service's
-/// default interpreter level; see [`record_capture_opt`].
+/// workload must not wedge a worker forever).
 pub fn record_capture(workload: &Workload, fuel: Option<u64>) -> Result<Trace, String> {
-    record_capture_opt(workload, fuel, tq_vm::VmOpt::Trace).map(|(trace, _)| trace)
-}
-
-/// [`record_capture`] with an explicit interpreter optimisation level,
-/// also returning the run's [`tq_vm::VmStats`] so the server can fold the
-/// optimisation counters into its service stats. The capture bytes are
-/// level-invariant — `vm_opt` only changes how fast the run goes.
-pub fn record_capture_opt(
-    workload: &Workload,
-    fuel: Option<u64>,
-    vm_opt: tq_vm::VmOpt,
-) -> Result<(Trace, tq_vm::VmStats), String> {
     let _span = tq_obs::span("capture", "vm");
     let mut vm = workload.make_vm()?;
-    vm.set_vm_opt(vm_opt);
     let h = vm.attach_tool(Box::new(TraceRecorder::new()));
     vm.run(fuel)
         .map_err(|e| format!("capture run failed: {e}"))?;
-    let stats = *vm.stats();
     let rec = vm
         .detach_tool::<TraceRecorder>(h)
         .ok_or("trace recorder lost its handle")?;
@@ -47,11 +32,9 @@ pub fn record_capture_opt(
     // rescan-free sharded replay for every later analysis of this capture
     // (the index persists through the disk tier, and the content digest
     // deliberately ignores it).
-    let trace = rec
-        .into_trace()
+    rec.into_trace()
         .with_chunk_index(tq_trace::DEFAULT_CHUNKS)
-        .map_err(|e| format!("chunk indexing failed: {e:?}"))?;
-    Ok((trace, stats))
+        .map_err(|e| format!("chunk indexing failed: {e:?}"))
 }
 
 /// Replay `trace` under the job's tool and render the profile as canonical

@@ -338,9 +338,8 @@ impl FleetState {
                 return None;
             }
         };
-        // Chunked transfer: bounded frame lines instead of one hex line
-        // holding 2× the capture (`Client::peek_fetch` also accepts the
-        // legacy single-line answer from a pre-chunking owner).
+        // Bounded frame lines instead of one hex line holding 2× the
+        // capture.
         let bytes = client
             .peek_fetch_tagged(app, scale, digest, job_id)
             .ok()??;

@@ -63,7 +63,7 @@ pub use client::{Client, ClientConfig, FleetClient, RetryPolicy, RetryTrail, Tra
 pub use fleet::{FleetConfig, FleetState};
 pub use protocol::{
     hex_decode, hex_encode, job_id_hex, mint_job_id, parse_job_id, JobSpec, Request, Response,
-    StackPolicy, ToolId, PEEK_FRAME_BYTES, PEEK_SINGLE_LINE_MAX,
+    StackPolicy, ToolId, PEEK_FRAME_BYTES,
 };
 pub use server::{Server, ServerConfig};
 pub use stats::ServiceStats;

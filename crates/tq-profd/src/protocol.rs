@@ -246,17 +246,11 @@ pub enum Request {
         /// Workload scale.
         scale: Scale,
         /// The content address being fetched; the receiver verifies it
-        /// matches its own digest for `(app, scale)`.
+        /// matches its own digest for `(app, scale)`. The answer is a
+        /// header carrying `frames` and `total_bytes`, then that many
+        /// bounded frame lines (at most [`PEEK_FRAME_BYTES`] raw bytes
+        /// each).
         digest: String,
-        /// Ask for the length-framed multi-line transfer instead of one
-        /// giant `capture_hex` line: a header carrying `frames` and
-        /// `total_bytes`, then that many bounded frame lines (at most
-        /// [`PEEK_FRAME_BYTES`] raw bytes each). Large captures (TQTRACE3
-        /// files of real workloads) must use this — the single-line form
-        /// is capped at [`PEEK_SINGLE_LINE_MAX`] and refused above it. A
-        /// server that predates the field ignores it and answers with the
-        /// legacy single line, which chunked-aware clients still accept.
-        chunked: bool,
         /// Trace correlation id of the job this fetch serves (0 =
         /// untagged), so the owner's peek-side spans join the same
         /// distributed trace as the non-owner's replay.
@@ -310,7 +304,6 @@ impl Request {
                 app,
                 scale,
                 digest,
-                chunked,
                 job_id,
             } => {
                 let mut obj = Json::obj([
@@ -319,11 +312,6 @@ impl Request {
                     ("scale", Json::from(scale.as_str())),
                     ("digest", Json::from(digest.as_str())),
                 ]);
-                // Only written when set, so the wire form old servers see
-                // is unchanged.
-                if *chunked {
-                    obj.set("chunked", Json::from(true));
-                }
                 set_job_id(&mut obj, *job_id);
                 obj.render()
             }
@@ -357,7 +345,6 @@ impl Request {
                     .and_then(Json::as_str)
                     .ok_or("peek requires `digest`")?
                     .to_string(),
-                chunked: v.get("chunked").and_then(Json::as_bool).unwrap_or(false),
                 job_id: get_job_id(&v),
             }),
             Some(other) => Err(format!("unknown request type `{other}`")),
@@ -499,19 +486,13 @@ impl Response {
     }
 }
 
-/// Raw capture bytes per frame of a chunked `peek` transfer. Hex doubles
+/// Raw capture bytes per frame of a `peek` transfer. Hex doubles
 /// it on the wire, so one frame line is ~48 KiB plus framing — bounded on
 /// both sides and symmetric with the server's 64 KiB request-line cap.
 /// Neither peer ever materialises more than one frame's hex at a time, so
 /// transferring a multi-GB TQTRACE3 capture costs the capture bytes plus
 /// one frame, not 3× the capture (bytes + full hex + line buffer).
 pub const PEEK_FRAME_BYTES: usize = 24 * 1024;
-
-/// Largest capture (raw bytes) the legacy single-line `peek` form will
-/// hex-encode into one response line. Anything larger is refused with a
-/// clean error telling the client to use a chunked peek — never an
-/// unbounded line that forces the receiver to buffer 2× the capture.
-pub const PEEK_SINGLE_LINE_MAX: usize = 4 << 20;
 
 /// Lowercase-hex encoding for binary payloads carried inside the JSON
 /// line protocol (`peek` capture transfers). Hex doubles the size but
@@ -592,14 +573,12 @@ mod tests {
                 app: AppId::Wfs,
                 scale: Scale::Tiny,
                 digest: "00112233445566778899aabbccddeeff".into(),
-                chunked: false,
                 job_id: 0,
             },
             Request::Peek {
                 app: AppId::Img,
                 scale: Scale::Small,
                 digest: "ffeeddccbbaa99887766554433221100".into(),
-                chunked: true,
                 job_id: 7,
             },
         ] {
@@ -742,27 +721,6 @@ mod tests {
     fn peek_decode_requires_digest() {
         assert!(Request::decode(r#"{"type":"peek","app":"wfs","scale":"tiny"}"#).is_err());
         assert!(Request::decode(r#"{"type":"peek","digest":"ab","app":"nope"}"#).is_err());
-    }
-
-    #[test]
-    fn peek_chunked_defaults_off_and_stays_off_the_wire() {
-        // Requests from clients that predate the field decode as legacy
-        // single-line peeks…
-        let legacy = Request::decode(r#"{"type":"peek","digest":"ab"}"#).unwrap();
-        let Request::Peek { chunked, .. } = legacy else {
-            panic!("peek")
-        };
-        assert!(!chunked, "absent flag means legacy transfer");
-        // …and a legacy peek encodes without the field, so old servers
-        // never see an unknown key carrying `false`.
-        let req = Request::Peek {
-            app: AppId::Wfs,
-            scale: Scale::Tiny,
-            digest: "ab".into(),
-            chunked: false,
-            job_id: 0,
-        };
-        assert!(!req.encode().contains("chunked"));
     }
 
     #[test]

@@ -30,11 +30,10 @@
 
 use crate::apps::{AppId, Scale, Workload};
 use crate::cache::{CaptureSource, CaptureStore};
-use crate::exec::{record_capture_opt, run_tool};
+use crate::exec::{record_capture, run_tool};
 use crate::fleet::{FleetConfig, FleetState};
 use crate::protocol::{
     hex_encode, job_id_hex, mint_job_id, JobSpec, Request, Response, PEEK_FRAME_BYTES,
-    PEEK_SINGLE_LINE_MAX,
 };
 use crate::stats::ServiceStats;
 use std::collections::{HashMap, VecDeque};
@@ -68,10 +67,6 @@ pub struct ServerConfig {
     pub job_timeout: Duration,
     /// Instruction budget for capture runs (`None` = unbounded).
     pub capture_fuel: Option<u64>,
-    /// Interpreter optimisation level for capture runs. Every level
-    /// produces byte-identical captures (and so identical memoized
-    /// results); the long-lived daemon defaults to the fastest.
-    pub vm_opt: tq_vm::VmOpt,
     /// Maximum concurrently served connections. One over the limit is
     /// answered with a single `busy` line and closed before a connection
     /// thread exists for it.
@@ -109,7 +104,6 @@ impl Default for ServerConfig {
             queue_depth: 64,
             job_timeout: Duration::from_secs(600),
             capture_fuel: None,
-            vm_opt: tq_vm::VmOpt::Trace,
             max_conns: 256,
             read_timeout: Some(Duration::from_secs(300)),
             peers: Vec::new(),
@@ -439,8 +433,6 @@ impl Shared {
             }
         }
         let fuel = self.config.capture_fuel;
-        let vm_opt = self.config.vm_opt;
-        let mut capture_stats = None;
         let mut peeked = false;
         let capture_t0 = Instant::now();
         let (trace, source) = self.store.get_or_record(&digest, || {
@@ -460,9 +452,7 @@ impl Shared {
             let w = prebuilt
                 .take()
                 .unwrap_or_else(|| Workload::build(spec.app, spec.scale));
-            let (trace, stats) = record_capture_opt(&w, fuel, vm_opt)?;
-            capture_stats = Some(stats);
-            Ok(trace)
+            record_capture(&w, fuel)
         })?;
         let capture_micros = capture_t0.elapsed().as_micros() as u64;
         {
@@ -474,14 +464,6 @@ impl Shared {
                 // fleet counters (`peek_fetches`) account for it instead.
                 CaptureSource::Recorded if peeked => {}
                 CaptureSource::Recorded => st.vm_runs += 1,
-            }
-            // Interpreter-optimisation counters from the capture run (the
-            // service's only VM executions; Prometheus gets the same
-            // numbers process-wide via the `tq_vm_*` metrics).
-            if let Some(s) = capture_stats {
-                st.vm_blocks_fused += s.blocks_fused;
-                st.vm_traces_recorded += s.traces_recorded;
-                st.vm_trace_side_exits += s.trace_side_exits;
             }
         }
         match source {
@@ -605,15 +587,11 @@ impl Shared {
             .unwrap_or(true);
         let trace = if owned {
             let fuel = self.config.capture_fuel;
-            let vm_opt = self.config.vm_opt;
-            let mut capture_stats = None;
             let recorded = self.store.get_or_record(digest, || {
                 let w = prebuilt
                     .take()
                     .unwrap_or_else(|| Workload::build(app, scale));
-                let (trace, stats) = record_capture_opt(&w, fuel, vm_opt)?;
-                capture_stats = Some(stats);
-                Ok(trace)
+                record_capture(&w, fuel)
             });
             match recorded {
                 Ok((trace, source)) => {
@@ -622,11 +600,6 @@ impl Shared {
                         CaptureSource::Memory => st.capture_mem_hits += 1,
                         CaptureSource::Disk => st.capture_disk_hits += 1,
                         CaptureSource::Recorded => st.vm_runs += 1,
-                    }
-                    if let Some(s) = capture_stats {
-                        st.vm_blocks_fused += s.blocks_fused;
-                        st.vm_traces_recorded += s.traces_recorded;
-                        st.vm_trace_side_exits += s.trace_side_exits;
                     }
                     drop(st);
                     match source {
@@ -652,43 +625,7 @@ impl Shared {
         }
     }
 
-    /// Answer a legacy single-line `peek`. Captures over
-    /// [`PEEK_SINGLE_LINE_MAX`] are refused with a clean error naming the
-    /// chunked form — hex-doubling a huge capture into one response line
-    /// would cost 2× its size on each side and an unbounded line on the
-    /// wire.
-    fn handle_peek(&self, app: AppId, scale: Scale, digest: String, job_id: u64) -> Response {
-        let _job = tq_obs::with_job(job_id);
-        let _span = tq_obs::span("peek-serve", "profd");
-        match self.peek_capture_bytes(app, scale, &digest) {
-            Err(resp) => resp,
-            Ok(None) => {
-                if let Some(f) = &self.fleet {
-                    f.note_peek_missed();
-                }
-                Response::ok([("found", Json::from(false)), ("digest", Json::from(digest))])
-            }
-            Ok(Some(bytes)) => {
-                if bytes.len() > PEEK_SINGLE_LINE_MAX {
-                    return Response::err(format!(
-                        "capture is {} bytes, over the {PEEK_SINGLE_LINE_MAX}-byte \
-                         single-line peek cap; request a chunked peek",
-                        bytes.len()
-                    ));
-                }
-                if let Some(f) = &self.fleet {
-                    f.note_peek_served();
-                }
-                Response::ok([
-                    ("found", Json::from(true)),
-                    ("digest", Json::from(digest)),
-                    ("capture_hex", Json::from(hex_encode(&bytes))),
-                ])
-            }
-        }
-    }
-
-    /// Answer a chunked `peek` directly on the connection: a header line
+    /// Answer a `peek` directly on the connection: a header line
     /// declaring `frames` and `total_bytes`, then that many frame lines of
     /// at most [`PEEK_FRAME_BYTES`] raw bytes each. Only one frame's hex
     /// exists at a time on this side, so serving a capture costs its byte
@@ -722,7 +659,6 @@ impl Shared {
                 let header = Response::ok([
                     ("found", Json::from(true)),
                     ("digest", Json::from(digest)),
-                    ("chunked", Json::from(true)),
                     (
                         "frames",
                         Json::from(bytes.len().div_ceil(PEEK_FRAME_BYTES) as u64),
@@ -773,7 +709,6 @@ impl Shared {
             "capture_bytes_in_memory",
             Json::from(self.store.mem_bytes()),
         );
-        j.set("vm_opt", Json::from(self.config.vm_opt.to_string()));
         j.set(
             "role",
             Json::from(if self.fleet.is_some() {
@@ -845,15 +780,9 @@ fn handle_request(shared: &Arc<Shared>, addr: SocketAddr, req: Request) -> (Resp
             false,
         ),
         Request::Stats => (Response::ok([("stats", shared.stats_json())]), false),
-        // `chunked: true` never reaches here — connection_loop intercepts it
-        // and streams the frames straight onto the socket.
-        Request::Peek {
-            app,
-            scale,
-            digest,
-            chunked: _,
-            job_id,
-        } => (shared.handle_peek(app, scale, digest, job_id), false),
+        // Never reaches here: connection_loop streams every peek's frames
+        // straight onto the socket.
+        Request::Peek { .. } => (Response::err("peek is answered by the connection"), false),
         Request::Route { spec, job_id } => {
             let _job = tq_obs::with_job(job_id);
             let _span = tq_obs::span("route", "profd");
@@ -1058,13 +987,12 @@ fn connection_loop(shared: Arc<Shared>, addr: SocketAddr, stream: TcpStream) {
             );
         }
         let (response, stop) = match Request::decode(&line) {
-            // Chunked peeks write a multi-line response (header + frames)
-            // straight onto the socket instead of the one-line path below.
+            // Peeks write a multi-line response (header + frames) straight
+            // onto the socket instead of the one-line path below.
             Ok(Request::Peek {
                 app,
                 scale,
                 digest,
-                chunked: true,
                 job_id,
             }) => {
                 if shared

@@ -106,12 +106,6 @@ pub struct ServiceStats {
     /// than `full`): replayed sequentially through the gate emulator
     /// over the shared full capture.
     pub reduced_jobs: u64,
-    /// Blocks fused by capture-run interpreters (see `tq_vm::VmStats`).
-    pub vm_blocks_fused: u64,
-    /// Hot-loop traces recorded by capture-run interpreters.
-    pub vm_traces_recorded: u64,
-    /// Trace side-exits taken by capture-run interpreters.
-    pub vm_trace_side_exits: u64,
     /// Per-tool job latency (tquad, quad, gprof, phases).
     pub latency: [LatencyHisto; 4],
 }
@@ -185,9 +179,6 @@ impl ServiceStats {
             ("retries_observed", Json::from(self.retries_observed)),
             ("slow_jobs", Json::from(self.slow_jobs)),
             ("reduced_jobs", Json::from(self.reduced_jobs)),
-            ("vm_blocks_fused", Json::from(self.vm_blocks_fused)),
-            ("vm_traces_recorded", Json::from(self.vm_traces_recorded)),
-            ("vm_trace_side_exits", Json::from(self.vm_trace_side_exits)),
             ("latency", tools),
         ])
     }

@@ -95,38 +95,40 @@ fn queue_full_yields_busy_and_retry_succeeds() {
         ..ServerConfig::default()
     });
 
-    // Warm the capture cache so the slow-replay fault below only stretches
-    // replay, not the recording single-flight.
+    // Warm the capture cache so the gate below only holds replay, not
+    // the recording single-flight.
     let mut client = Client::connect(&addr).expect("connect");
     client.submit(spec_n(0)).expect("warm capture");
 
-    // From here on every replay takes >= 500ms: one job pins the worker,
-    // one fills the queue, and the third must be shed.
-    tq_faults::install(FaultPlan::seeded(42).with(
-        FaultPoint::SlowReplay,
-        1.0,
-        Duration::from_millis(500),
-    ));
-
-    let occupants: Vec<_> = (1..=2)
-        .map(|n| {
-            let addr = addr.clone();
-            std::thread::spawn(move || {
-                let mut c = Client::connect(&addr).expect("connect");
-                c.submit(spec_n(n))
-            })
+    // From here on every replay holds at a shut gate: one job pins the
+    // worker, one fills the queue, and the third must be shed. Both
+    // states are stable until the gate is released, so polling for them
+    // cannot miss a window.
+    tq_faults::install(FaultPlan::seeded(42).with_gate(FaultPoint::SlowReplay));
+    let occupant = |n: u64| {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            let mut c = Client::connect(&addr).expect("connect");
+            c.submit(spec_n(n))
         })
-        .collect();
-    // Wait until both occupants actually landed (one in the worker, one in
-    // the queue) — a fixed sleep flakes under load.
-    wait_for(Duration::from_secs(5), || {
-        let stats = Client::connect(&addr)
+    };
+    let stat = |key: &str| {
+        Client::connect(&addr)
             .expect("connect for stats")
             .stats()
-            .expect("stats");
-        stats.get("busy_workers").and_then(Json::as_u64) == Some(1)
-            && stats.get("queue_len").and_then(Json::as_u64) == Some(1)
-    });
+            .expect("stats")
+            .get(key)
+            .and_then(Json::as_u64)
+    };
+    let first = occupant(1);
+    wait_for(Duration::from_secs(60), || stat("busy_workers") == Some(1));
+    let second = occupant(2);
+    wait_for(Duration::from_secs(60), || stat("queue_len") == Some(1));
+    assert_eq!(
+        stat("busy_workers"),
+        Some(1),
+        "the gate still holds the worker"
+    );
 
     let resp = client
         .request(&tq_profd::Request::Submit {
@@ -141,6 +143,7 @@ fn queue_full_yields_busy_and_retry_succeeds() {
 
     // The resilient path: same job, retried with backoff, succeeds once
     // the occupants drain — and the profile matches the fault-free run.
+    tq_faults::release(FaultPoint::SlowReplay);
     let (profile, _cached) = client
         .submit_with_retry(spec_n(3), 10)
         .expect("retry eventually lands");
@@ -150,7 +153,7 @@ fn queue_full_yields_busy_and_retry_succeeds() {
         "shed-then-retried job is byte-identical"
     );
 
-    for t in occupants {
+    for t in [first, second] {
         t.join().expect("occupant thread").expect("occupant job");
     }
 

@@ -10,6 +10,7 @@ use std::net::TcpListener;
 use tq_profd::exec::{record_capture, run_tool};
 use tq_profd::{
     AppId, Client, FleetClient, JobSpec, Request, Scale, Server, ServerConfig, ToolId, Workload,
+    PEEK_FRAME_BYTES,
 };
 use tq_report::Json;
 
@@ -118,10 +119,9 @@ fn non_owner_submit_records_once_fleetwide_via_peek() {
     assert_eq!(u64_at(&non_owner_stats, &["fleet", "peek_fetches"]), 1);
     assert_eq!(u64_at(&non_owner_stats, &["fleet", "remote_owned_jobs"]), 1);
 
-    // Both members report their fleet role and vm_opt in stats.
+    // Both members report their fleet role in stats.
     for stats in [&owner_stats, &non_owner_stats] {
         assert_eq!(stats.get("role").and_then(Json::as_str), Some("fleet"));
-        assert_eq!(stats.get("vm_opt").and_then(Json::as_str), Some("trace"));
     }
 
     // A repeat on the non-owner is a pure memo hit — still one recording.
@@ -200,12 +200,11 @@ fn fleet_client_routes_to_the_owner() {
     shutdown_all(&addrs, servers);
 }
 
-/// A chunked peek delivers the exact same capture bytes as the legacy
-/// single-line form, split into bounded frames instead of one hex line
-/// holding 2× the capture. Both forms run against the same server, so the
-/// second answer is also the disk/memory-cache fast path.
+/// A peek delivers the owner's capture in bounded frames: the bytes load
+/// as a trace with the owner's own digest, the connection survives the
+/// multi-line exchange, and a wrong digest is a clean error.
 #[test]
-fn chunked_peek_matches_the_legacy_single_line_transfer() {
+fn peeked_capture_loads_with_the_owners_digest() {
     let server = Server::start(ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 1,
@@ -213,42 +212,20 @@ fn chunked_peek_matches_the_legacy_single_line_transfer() {
     })
     .expect("server starts");
     let addr = server.local_addr().to_string();
-    let digest = Workload::build(AppId::Wfs, Scale::Tiny).digest();
+    let workload = Workload::build(AppId::Wfs, Scale::Tiny);
+    let owner_digest = record_capture(&workload, None)
+        .expect("local capture")
+        .digest();
 
     let mut client = Client::connect(&addr).expect("connect");
-
-    // Legacy single-line form first (this records the capture).
-    let resp = client
-        .request(&Request::Peek {
-            app: AppId::Wfs,
-            scale: Scale::Tiny,
-            digest: digest.clone(),
-            chunked: false,
-            job_id: 0,
-        })
-        .expect("legacy peek");
-    assert!(resp.is_ok(), "{resp:?}");
-    assert_eq!(resp.0.get("found").and_then(Json::as_bool), Some(true));
-    let hex = resp
-        .0
-        .get("capture_hex")
-        .and_then(Json::as_str)
-        .expect("capture_hex");
-    let legacy = tq_profd::hex_decode(hex).expect("valid hex");
-
-    // Chunked form over the same connection.
-    let chunked = client
-        .peek_fetch(AppId::Wfs, Scale::Tiny, &digest)
-        .expect("chunked peek")
+    let bytes = client
+        .peek_fetch(AppId::Wfs, Scale::Tiny, &workload.digest())
+        .expect("peek")
         .expect("capture found");
-    assert_eq!(chunked, legacy, "both forms deliver identical bytes");
-    assert!(chunked.starts_with(b"TQTRACE"), "framed as a trace");
-
-    // Both decode to the same trace, and the connection survives the
-    // multi-line exchange (a follow-up request still works).
-    let t1 = tq_trace::Trace::load(&mut legacy.as_slice()).expect("legacy loads");
-    let t2 = tq_trace::Trace::load(&mut chunked.as_slice()).expect("chunked loads");
-    assert_eq!(t1.digest(), t2.digest());
+    assert!(bytes.len() > PEEK_FRAME_BYTES, "spans several frames");
+    assert!(bytes.starts_with(b"TQTRACE"), "framed as a trace");
+    let peeked = tq_trace::Trace::load(&mut bytes.as_slice()).expect("peeked capture loads");
+    assert_eq!(peeked.digest(), owner_digest);
     assert!(client.ping().expect("ping after peek").is_ok());
 
     // A miss (wrong digest) is a clean error, not a hang.
@@ -274,7 +251,6 @@ fn single_node_reports_single_role() {
     let addr = server.local_addr().to_string();
     let stats = stats_of(&addr);
     assert_eq!(stats.get("role").and_then(Json::as_str), Some("single"));
-    assert_eq!(stats.get("vm_opt").and_then(Json::as_str), Some("trace"));
     assert!(stats.get("fleet").is_none(), "{stats:?}");
     let _ = Client::connect(&addr).and_then(|mut c| c.shutdown());
     server.join().expect("clean join");

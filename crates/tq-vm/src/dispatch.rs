@@ -4,18 +4,13 @@
 //! reaching the opcode match: fuel, tick and routine-entry checks. This
 //! loop hoists the first two to block granularity: a block whose full body
 //! fits below both the fuel limit and the next tool tick executes on a
-//! *fast path* with no per-instruction checks at all — over the fused
-//! dispatch plan when [`VmOpt`] enables it. Only when a boundary could fall
-//! inside the block does the *slow path* replicate the original
-//! per-instruction sequence exactly (over the unfused body), so boundary
-//! behaviour — which instruction exhausts fuel, where a tick fires — is
-//! bit-identical to the baseline by construction.
-//!
-//! In [`VmOpt::Trace`], the loop additionally checks for an executable
-//! trace at the current pc before dispatching, and profiles back-edges
-//! after every block (see [`crate::trace`]).
+//! *fast path* with no per-instruction checks at all. Only when a boundary
+//! could fall inside the block does the *slow path* replicate the original
+//! per-instruction sequence exactly, so boundary behaviour — which
+//! instruction exhausts fuel, where a tick fires — is bit-identical to the
+//! per-instruction interpreter by construction.
 
-use crate::vm::{Block, Next, RunExit, Vm, VmError, VmOpt};
+use crate::vm::{Block, Next, RunExit, Vm, VmError};
 use tq_isa::INST_BYTES;
 
 impl Vm {
@@ -27,21 +22,10 @@ impl Vm {
             .unwrap_or(u64::MAX);
 
         loop {
-            if self.vm_opt == VmOpt::Trace && self.recording.is_none() {
-                if let Some(tr) = self.traces.get(&self.pc) {
-                    let tr = tr.clone();
-                    if crate::trace::can_enter(self, &tr, fuel_limit) {
-                        self.pc = crate::trace::run_trace(self, &tr, fuel_limit)?;
-                        continue;
-                    }
-                }
-            }
-
             let block = self.fetch_block(self.pc)?;
             self.stats.block_execs += 1;
-            let block_pc = self.pc;
 
-            let next_pc = match self.exec_block(&block, fuel_limit)? {
+            self.pc = match self.exec_block(&block, fuel_limit)? {
                 // Fallthrough off the end of a block that stopped at a
                 // routine boundary or image end.
                 Next::Fall => block.insts.last().expect("blocks are non-empty").pc + INST_BYTES,
@@ -54,10 +38,6 @@ impl Vm {
                     });
                 }
             };
-            if self.vm_opt == VmOpt::Trace {
-                crate::trace::after_block(self, &block, block_pc, next_pc);
-            }
-            self.pc = next_pc;
         }
     }
 
@@ -70,27 +50,18 @@ impl Vm {
         // the fast path pays a single compare for both.
         let stop = self.next_tick.min(self.instr_gate.next_edge());
         if end <= fuel_limit && end < stop {
-            if self.vm_opt == VmOpt::Off {
-                for (i, d) in block.insts.iter().enumerate() {
-                    self.icount += 1;
-                    self.fire_rtn_enter(d);
-                    match self.exec::<false>(d, 0, i as u16)? {
-                        Next::Fall => {}
-                        other => return Ok(other),
-                    }
-                }
-            } else {
-                for op in block.ops.iter() {
-                    match crate::fuse::exec_op::<false>(self, block, op, 0)? {
-                        Next::Fall => {}
-                        other => return Ok(other),
-                    }
+            for d in block.insts.iter() {
+                self.icount += 1;
+                self.fire_rtn_enter(d);
+                match self.exec(d)? {
+                    Next::Fall => {}
+                    other => return Ok(other),
                 }
             }
         } else {
             // Boundary-exact slow path: the original interpreter's
-            // per-instruction check sequence, over the unfused body.
-            for (i, d) in block.insts.iter().enumerate() {
+            // per-instruction check sequence.
+            for d in block.insts.iter() {
                 if self.icount >= fuel_limit {
                     return Err(VmError::FuelExhausted {
                         icount: self.icount,
@@ -104,7 +75,7 @@ impl Vm {
                 // the fast path never crosses one.
                 self.instr_gate.advance(self.icount);
                 self.fire_rtn_enter(d);
-                match self.exec::<false>(d, 0, i as u16)? {
+                match self.exec(d)? {
                     Next::Fall => {}
                     other => return Ok(other),
                 }

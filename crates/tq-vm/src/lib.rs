@@ -20,14 +20,12 @@
 #![warn(missing_docs)]
 
 mod dispatch;
-mod fuse;
 pub mod hostfs;
 pub mod instr;
 pub mod layout;
 pub mod mem;
 mod obs;
 pub mod tool;
-mod trace;
 pub mod vm;
 
 pub use hostfs::{FsMode, HostFs};
@@ -41,4 +39,4 @@ pub use tool::{
     event_bit, hooks, standard_mask, AsAny, Event, HookMask, InsContext, MergeTool, ProgramInfo,
     RoutineMeta, ShardContext, Tool,
 };
-pub use vm::{ExitReason, RunExit, ToolHandle, Vm, VmError, VmOpt, VmStats};
+pub use vm::{ExitReason, RunExit, ToolHandle, Vm, VmError, VmStats};

@@ -1,4 +1,4 @@
-//! Self-profiling counters for the interpreter's optimisation machinery.
+//! Self-profiling counters for the interpreter.
 //!
 //! Published once per VM lifetime at `fini` time (so a run contributes its
 //! totals exactly once), cumulatively across VMs in the process — the same
@@ -7,52 +7,20 @@
 
 use crate::vm::VmStats;
 use std::sync::OnceLock;
-use tq_obs::{Counter, Gauge};
+use tq_obs::Counter;
 
 fn blocks_fused() -> &'static Counter {
     static C: OnceLock<Counter> = OnceLock::new();
     C.get_or_init(|| {
         tq_obs::counter(
             "tq_vm_blocks_fused_total",
-            "Basic blocks whose decode produced at least one fused superinstruction",
+            "Basic blocks whose decode produced a fused superinstruction (always 0: \
+             the interpreter does not fuse)",
         )
     })
 }
 
-fn traces_recorded() -> &'static Counter {
-    static C: OnceLock<Counter> = OnceLock::new();
-    C.get_or_init(|| {
-        tq_obs::counter(
-            "tq_vm_traces_recorded_total",
-            "Hot-loop traces recorded and lowered to executable form",
-        )
-    })
-}
-
-fn trace_side_exits() -> &'static Counter {
-    static C: OnceLock<Counter> = OnceLock::new();
-    C.get_or_init(|| {
-        tq_obs::counter(
-            "tq_vm_trace_side_exits_total",
-            "Trace guard failures that fell back to the interpreter",
-        )
-    })
-}
-
-fn trace_instr_share_bp() -> &'static Gauge {
-    static G: OnceLock<Gauge> = OnceLock::new();
-    G.get_or_init(|| {
-        tq_obs::gauge(
-            "tq_vm_trace_instr_share_bp",
-            "Share of instructions retired inside lowered traces, in basis points (last run)",
-        )
-    })
-}
-
-/// Publish one finished run's optimisation stats.
-pub(crate) fn publish(stats: &VmStats, final_icount: u64) {
+/// Publish one finished run's stats.
+pub(crate) fn publish(stats: &VmStats) {
     blocks_fused().add(stats.blocks_fused);
-    traces_recorded().add(stats.traces_recorded);
-    trace_side_exits().add(stats.trace_side_exits);
-    trace_instr_share_bp().set((stats.trace_instr_share(final_icount) * 10_000.0) as i64);
 }

@@ -287,22 +287,6 @@ pub trait Tool: AsAny {
     /// Analysis time: an event this tool subscribed to fired.
     fn on_event(&mut self, ev: &Event);
 
-    /// Analysis time, batched: a run of subscribed events delivered
-    /// together, in execution order. The VM's trace executor buffers the
-    /// events of one hot-loop iteration and hands them over in a single
-    /// call, replacing one virtual dispatch *per event* with one per batch
-    /// (the per-event calls inside the default body are statically
-    /// dispatched in the monomorphised impl). Receiving
-    /// `on_events(&[a, b])` must be indistinguishable from receiving
-    /// `on_event(&a)` then `on_event(&b)` — the default implementation
-    /// guarantees that, and overriders must preserve it, because profile
-    /// byte-identity across `--vm-opt` modes depends on it.
-    fn on_events(&mut self, evs: &[Event]) {
-        for ev in evs {
-            self.on_event(ev);
-        }
-    }
-
     /// The program finished (Pin's Fini callback). `final_icount` is the
     /// total number of instructions executed.
     fn on_fini(&mut self, _final_icount: u64) {}

@@ -98,11 +98,9 @@ impl std::error::Error for VmError {}
 /// Execution statistics — drives the overhead experiment (§V.A of the
 /// paper) and the code-cache ablation.
 ///
-/// The first seven fields are *mode-invariant*: they must come out
-/// byte-identical whichever [`VmOpt`] level the VM runs at (the
-/// differential test suite enforces this). The trailing fields describe the
-/// optimisation machinery itself and are naturally zero below the mode that
-/// introduces them.
+/// The first seven fields are *path-invariant*: they come out identical
+/// whether a block ran on the interpreter's fast or slow path (the
+/// slow-path differential suite enforces this).
 #[derive(Clone, Copy, Default, Debug)]
 pub struct VmStats {
     /// Basic blocks decoded (and instrumented).
@@ -119,73 +117,13 @@ pub struct VmStats {
     pub mem_reads: u64,
     /// Data-memory writes executed.
     pub mem_writes: u64,
-    /// Blocks whose decode produced at least one fused superinstruction
-    /// ([`VmOpt::Fuse`] and above).
+    /// Always 0: the interpreter has no superinstruction fusion. Kept so
+    /// existing readers of the field (the `perfbench` harness, the
+    /// `tq_vm_blocks_fused_total` metric) keep working.
     pub blocks_fused: u64,
-    /// Hot-loop traces recorded and installed ([`VmOpt::Trace`]).
-    pub traces_recorded: u64,
-    /// Guard failures that fell back from a trace to the interpreter.
-    pub trace_side_exits: u64,
-    /// Instructions retired inside lowered traces.
-    pub trace_instrs: u64,
     /// Memory events suppressed by a reduced instrumentation mode
     /// (`--instr sample|converge`); always 0 under full instrumentation.
     pub instr_suppressed: u64,
-}
-
-impl VmStats {
-    /// Fraction of all retired instructions that ran inside lowered traces
-    /// (0.0 when nothing ran). `final_icount` is the run's total
-    /// instruction count, e.g. [`RunExit::icount`].
-    pub fn trace_instr_share(&self, final_icount: u64) -> f64 {
-        if final_icount == 0 {
-            0.0
-        } else {
-            self.trace_instrs as f64 / final_icount as f64
-        }
-    }
-}
-
-/// Hot-loop optimisation level of the interpreter. Every level is
-/// observationally identical — fuel accounting, [`VmStats`] core fields,
-/// captured traces and tool profiles stay byte-for-byte the same — the
-/// levels only trade decode-time work for execution speed.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum VmOpt {
-    /// Block-level pre-decoded dispatch only (the baseline): fuel and tick
-    /// checks are hoisted to block granularity when no boundary can fall
-    /// inside the block.
-    #[default]
-    Off,
-    /// Adds superinstruction fusion: a peephole pass at block decode time
-    /// collapses dominant pairs/triples into single [`tq_isa::Fused`] ops.
-    Fuse,
-    /// Adds hot-loop trace recording: back-edge-hot loops are lowered to
-    /// straight-line traces with entry guards and side-exits, and their
-    /// analysis events are flushed to tools once per loop iteration.
-    Trace,
-}
-
-impl VmOpt {
-    /// Parse a `--vm-opt` CLI value.
-    pub fn parse(s: &str) -> Result<VmOpt, String> {
-        match s {
-            "off" => Ok(VmOpt::Off),
-            "fuse" => Ok(VmOpt::Fuse),
-            "trace" => Ok(VmOpt::Trace),
-            other => Err(format!("unknown vm-opt `{other}` (off|fuse|trace)")),
-        }
-    }
-}
-
-impl std::fmt::Display for VmOpt {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            VmOpt::Off => "off",
-            VmOpt::Fuse => "fuse",
-            VmOpt::Trace => "trace",
-        })
-    }
 }
 
 /// One decoded, instrumented instruction in the code cache.
@@ -200,17 +138,9 @@ pub(crate) struct DecodedInst {
     pub(crate) hooks: Box<[(u16, HookMask)]>,
 }
 
-/// A cached basic block: the dense pre-decoded instruction array, plus (in
-/// [`VmOpt::Fuse`] and above) the fused dispatch plan over it.
+/// A cached basic block: the dense pre-decoded instruction array.
 pub(crate) struct Block {
     pub(crate) insts: Box<[DecodedInst]>,
-    /// Fused dispatch plan ([`crate::fuse::BlockOp`] per dispatch). Empty
-    /// in [`VmOpt::Off`]; the slow path always walks `insts` instead.
-    pub(crate) ops: Box<[crate::fuse::BlockOp]>,
-    /// True when the block may be recorded into a hot-loop trace: it ends
-    /// in a branch/jump/fallthrough (not call/return/halt/exit), performs
-    /// no host calls, and does not begin a routine.
-    pub(crate) traceable: bool,
 }
 
 pub(crate) enum Next {
@@ -243,13 +173,13 @@ pub struct Vm {
     info: ProgramInfo,
     /// `(start, end, id)` for every routine, sorted by start.
     rtn_index: Vec<(u64, u64, RoutineId)>,
-    pub(crate) mem: Memory,
-    pub(crate) regs: [u64; 32],
-    pub(crate) fregs: [f64; 32],
+    mem: Memory,
+    regs: [u64; 32],
+    fregs: [f64; 32],
     pub(crate) pc: u64,
     pub(crate) icount: u64,
     fs: HostFs,
-    pub(crate) tools: Vec<Option<Box<dyn Tool>>>,
+    tools: Vec<Option<Box<dyn Tool>>>,
     tick_interval: Vec<u64>,
     tick_due: Vec<u64>,
     pub(crate) next_tick: u64,
@@ -258,19 +188,6 @@ pub struct Vm {
     pub(crate) stats: VmStats,
     finished: bool,
     stack_limit: u64,
-    /// Hot-loop optimisation level; see [`Vm::set_vm_opt`].
-    pub(crate) vm_opt: VmOpt,
-    /// Executable lowered traces, keyed by loop-head address.
-    pub(crate) traces: HashMap<u64, Rc<crate::trace::ExecTrace>>,
-    /// Back-edge execution counters per branch-target address;
-    /// [`crate::trace::ABORTED`] marks heads that failed to record.
-    pub(crate) hot: HashMap<u64, u32>,
-    /// In-progress trace recording, if any.
-    pub(crate) recording: Option<crate::trace::Recording>,
-    /// Event buffer of the executing trace iteration.
-    pub(crate) ev_buf: Vec<crate::trace::Pending>,
-    /// Per-tool scratch for batched flushes (kept to reuse its allocation).
-    pub(crate) ev_scratch: Vec<Event>,
     /// Instrumentation mode; see [`Vm::set_instr_mode`].
     instr_mode: InstrMode,
     /// Per-routine "never instrument" flags resolved from the mode's
@@ -340,12 +257,6 @@ impl Vm {
             stats: VmStats::default(),
             finished: false,
             stack_limit: layout::STACK_LIMIT,
-            vm_opt: VmOpt::default(),
-            traces: HashMap::new(),
-            hot: HashMap::new(),
-            recording: None,
-            ev_buf: Vec::new(),
-            ev_scratch: Vec::new(),
             instr_mode: InstrMode::default(),
             instr_filtered: Vec::new(),
             instr_gate: InstrGate::new(&InstrMode::default(), 0),
@@ -414,42 +325,11 @@ impl Vm {
     /// is re-decoded *and re-instrumented* on every execution — the naive
     /// instrumentation strategy Pin's design avoids; kept for the ablation
     /// bench.
-    ///
-    /// Disabling the cache also drops every recorded hot-loop trace, the
-    /// back-edge counters and any in-progress recording, and hot-loop
-    /// machinery stays off while the cache is off: traces are built *from*
-    /// cached blocks, so keeping them alive would let the "naive
-    /// re-instrument" baseline silently keep its fastest path and skew the
-    /// ablation.
     pub fn set_cache_enabled(&mut self, enabled: bool) {
         self.cache_enabled = enabled;
         if !enabled {
             self.cache.clear();
-            self.traces.clear();
-            self.hot.clear();
-            self.recording = None;
         }
-    }
-
-    /// Set the hot-loop optimisation level (see [`VmOpt`]). Call before
-    /// [`Vm::run`]: changing the level drops the code cache and all
-    /// recorded traces so blocks are re-decoded (and re-instrumented)
-    /// under the new level — mid-run switches therefore inflate
-    /// `blocks_built`/`instrument_calls` relative to a single-level run.
-    pub fn set_vm_opt(&mut self, opt: VmOpt) {
-        if opt == self.vm_opt {
-            return;
-        }
-        self.vm_opt = opt;
-        self.cache.clear();
-        self.traces.clear();
-        self.hot.clear();
-        self.recording = None;
-    }
-
-    /// The current hot-loop optimisation level.
-    pub fn vm_opt(&self) -> VmOpt {
-        self.vm_opt
     }
 
     /// Set the instrumentation mode (see [`InstrMode`], DESIGN.md §14).
@@ -635,32 +515,8 @@ impl Vm {
             }
         }
         self.stats.blocks_built += 1;
-
-        // Fused dispatch plan (stage 2). Only built above `Off`: the
-        // baseline keeps decode exactly as cheap as it was.
-        let ops = if self.vm_opt != VmOpt::Off {
-            crate::fuse::build_ops(&insts)
-        } else {
-            Vec::new().into_boxed_slice()
-        };
-        if ops
-            .iter()
-            .any(|op| matches!(op, crate::fuse::BlockOp::Fused { .. }))
-        {
-            self.stats.blocks_fused += 1;
-        }
-
-        let last = insts.last().expect("blocks are non-empty");
-        let ender_ok =
-            matches!(last.inst, Inst::Br { .. } | Inst::Jmp { .. }) || !last.inst.ends_block();
-        let traceable = ender_ok
-            && !insts[0].rtn_enter
-            && insts.iter().all(|d| !matches!(d.inst, Inst::Host { .. }));
-
         Ok(Block {
             insts: insts.into_boxed_slice(),
-            ops,
-            traceable,
         })
     }
 
@@ -690,40 +546,8 @@ impl Vm {
         }
     }
 
-    /// Deliver (or, inside a trace iteration with `BUF = true`, defer) one
-    /// analysis event. Buffered events are flushed to tools in execution
-    /// order once per trace iteration by [`crate::trace::flush_events`].
     #[inline]
-    fn emit<const BUF: bool>(
-        &mut self,
-        d: &DecodedInst,
-        seg: u32,
-        idx: u16,
-        bit: HookMask,
-        ev: Event,
-    ) {
-        if BUF {
-            self.ev_buf.push(crate::trace::Pending {
-                seg,
-                inst: idx,
-                bit,
-                ev,
-            });
-        } else {
-            self.dispatch(d, bit, &ev);
-        }
-    }
-
-    #[inline]
-    pub(crate) fn fire_mem_read<const BUF: bool>(
-        &mut self,
-        d: &DecodedInst,
-        seg: u32,
-        idx: u16,
-        ea: u64,
-        size: u32,
-        is_prefetch: bool,
-    ) {
+    fn fire_mem_read(&mut self, d: &DecodedInst, ea: u64, size: u32, is_prefetch: bool) {
         if !is_prefetch {
             self.stats.mem_reads += 1;
         }
@@ -746,18 +570,11 @@ impl Vm {
             icount: self.icount,
             rtn: d.rtn,
         };
-        self.emit::<BUF>(d, seg, idx, hooks::MEM_READ, ev);
+        self.dispatch(d, hooks::MEM_READ, &ev);
     }
 
     #[inline]
-    pub(crate) fn fire_mem_write<const BUF: bool>(
-        &mut self,
-        d: &DecodedInst,
-        seg: u32,
-        idx: u16,
-        ea: u64,
-        size: u32,
-    ) {
+    fn fire_mem_write(&mut self, d: &DecodedInst, ea: u64, size: u32) {
         self.stats.mem_writes += 1;
         if d.hooks.is_empty() {
             return;
@@ -774,14 +591,13 @@ impl Vm {
             icount: self.icount,
             rtn: d.rtn,
         };
-        self.emit::<BUF>(d, seg, idx, hooks::MEM_WRITE, ev);
+        self.dispatch(d, hooks::MEM_WRITE, &ev);
     }
 
     /// Fire the routine-entry analysis event if this decoded instruction
     /// heads a routine and any tool subscribed. Only the first instruction
     /// of a block can be a routine head (blocks never cross routine
-    /// boundaries), and traceable blocks exclude routine heads, so this is
-    /// never reached from inside a trace.
+    /// boundaries).
     #[inline]
     pub(crate) fn fire_rtn_enter(&mut self, d: &DecodedInst) {
         if d.rtn_enter && !d.hooks.is_empty() {
@@ -817,7 +633,7 @@ impl Vm {
             return;
         }
         self.finished = true;
-        crate::obs::publish(&self.stats, self.icount);
+        crate::obs::publish(&self.stats);
         let icount = self.icount;
         // Reduced-instrumentation runs hand every tool the mode metadata
         // (what was dropped, and where) before its Fini callback, so
@@ -862,15 +678,8 @@ impl Vm {
         self.fregs[f.idx()]
     }
 
-    /// Execute one decoded instruction. `seg`/`idx` locate it inside the
-    /// executing trace segment for buffered event delivery (`BUF = true`);
-    /// both are ignored on the immediate-dispatch path (`BUF = false`).
-    pub(crate) fn exec<const BUF: bool>(
-        &mut self,
-        d: &DecodedInst,
-        seg: u32,
-        idx: u16,
-    ) -> Result<Next, VmError> {
+    /// Execute one decoded instruction.
+    pub(crate) fn exec(&mut self, d: &DecodedInst) -> Result<Next, VmError> {
         use Inst::*;
         let pc = d.pc;
         let merr = |err: OutOfRange| VmError::Mem { pc, err };
@@ -952,7 +761,7 @@ impl Vm {
                 let size = width.bytes();
                 let v = self.mem.read_uint(ea, size).map_err(merr)?;
                 self.regs[rd.idx()] = v;
-                self.fire_mem_read::<BUF>(d, seg, idx, ea, size, false);
+                self.fire_mem_read(d, ea, size, false);
             }
             St {
                 rs,
@@ -963,32 +772,32 @@ impl Vm {
                 let ea = self.r(base).wrapping_add(off as i64 as u64);
                 let size = width.bytes();
                 self.mem.write_uint(ea, size, self.r(rs)).map_err(merr)?;
-                self.fire_mem_write::<BUF>(d, seg, idx, ea, size);
+                self.fire_mem_write(d, ea, size);
             }
             FLd { fd, base, off } => {
                 let ea = self.r(base).wrapping_add(off as i64 as u64);
                 self.fregs[fd.idx()] = self.mem.read_f64(ea).map_err(merr)?;
-                self.fire_mem_read::<BUF>(d, seg, idx, ea, 8, false);
+                self.fire_mem_read(d, ea, 8, false);
             }
             FSt { fs, base, off } => {
                 let ea = self.r(base).wrapping_add(off as i64 as u64);
                 self.mem.write_f64(ea, self.f(fs)).map_err(merr)?;
-                self.fire_mem_write::<BUF>(d, seg, idx, ea, 8);
+                self.fire_mem_write(d, ea, 8);
             }
             FLd4 { fd, base, off } => {
                 let ea = self.r(base).wrapping_add(off as i64 as u64);
                 self.fregs[fd.idx()] = self.mem.read_f32(ea).map_err(merr)?;
-                self.fire_mem_read::<BUF>(d, seg, idx, ea, 4, false);
+                self.fire_mem_read(d, ea, 4, false);
             }
             FSt4 { fs, base, off } => {
                 let ea = self.r(base).wrapping_add(off as i64 as u64);
                 self.mem.write_f32(ea, self.f(fs)).map_err(merr)?;
-                self.fire_mem_write::<BUF>(d, seg, idx, ea, 4);
+                self.fire_mem_write(d, ea, 4);
             }
             Prefetch { base, off } => {
                 let ea = self.r(base).wrapping_add(off as i64 as u64);
                 // No architectural effect; the event fires flagged.
-                self.fire_mem_read::<BUF>(d, seg, idx, ea, 8, true);
+                self.fire_mem_read(d, ea, 8, true);
             }
             PLd64 {
                 rd,
@@ -999,7 +808,7 @@ impl Vm {
                 if self.r(pred) != 0 {
                     let ea = self.r(base).wrapping_add(off as i64 as u64);
                     self.regs[rd.idx()] = self.mem.read_uint(ea, 8).map_err(merr)?;
-                    self.fire_mem_read::<BUF>(d, seg, idx, ea, 8, false);
+                    self.fire_mem_read(d, ea, 8, false);
                 }
             }
             PSt64 {
@@ -1011,7 +820,7 @@ impl Vm {
                 if self.r(pred) != 0 {
                     let ea = self.r(base).wrapping_add(off as i64 as u64);
                     self.mem.write_uint(ea, 8, self.r(rs)).map_err(merr)?;
-                    self.fire_mem_write::<BUF>(d, seg, idx, ea, 8);
+                    self.fire_mem_write(d, ea, 8);
                 }
             }
             BCpy { dst, src, len } => {
@@ -1034,8 +843,8 @@ impl Vm {
                     let mut buf = vec![0u8; n as usize];
                     self.mem.read(s_addr, &mut buf).map_err(merr)?;
                     self.mem.write(d_addr, &buf).map_err(merr)?;
-                    self.fire_mem_read::<BUF>(d, seg, idx, s_addr, n as u32, false);
-                    self.fire_mem_write::<BUF>(d, seg, idx, d_addr, n as u32);
+                    self.fire_mem_read(d, s_addr, n as u32, false);
+                    self.fire_mem_write(d, d_addr, n as u32);
                 }
             }
 
@@ -1052,17 +861,17 @@ impl Vm {
             }
             Call { target } => {
                 let t = target as u64;
-                return self.exec_call::<BUF>(d, seg, idx, t, d.static_callee);
+                return self.exec_call(d, t, d.static_callee);
             }
             CallR { rs } => {
                 let t = self.r(rs);
                 let callee = Self::rtn_at(&self.rtn_index, t);
-                return self.exec_call::<BUF>(d, seg, idx, t, callee);
+                return self.exec_call(d, t, callee);
             }
             Ret => {
                 let sp = self.r(abi::SP);
                 let ra = self.mem.read_uint(sp, 8).map_err(merr)?;
-                self.fire_mem_read::<BUF>(d, seg, idx, sp, 8, false);
+                self.fire_mem_read(d, sp, 8, false);
                 self.regs[abi::SP.idx()] = sp + 8;
                 if !d.hooks.is_empty() {
                     let ev = Event::Ret {
@@ -1071,7 +880,7 @@ impl Vm {
                         icount: self.icount,
                         rtn: d.rtn,
                     };
-                    self.emit::<BUF>(d, seg, idx, hooks::RET, ev);
+                    self.dispatch(d, hooks::RET, &ev);
                 }
                 return Ok(Next::Jump(ra));
             }
@@ -1083,11 +892,9 @@ impl Vm {
         Ok(Next::Fall)
     }
 
-    fn exec_call<const BUF: bool>(
+    fn exec_call(
         &mut self,
         d: &DecodedInst,
-        seg: u32,
-        idx: u16,
         target: u64,
         callee: RoutineId,
     ) -> Result<Next, VmError> {
@@ -1100,7 +907,7 @@ impl Vm {
             .write_uint(sp, 8, ret_addr)
             .map_err(|err| VmError::Mem { pc: d.pc, err })?;
         self.regs[abi::SP.idx()] = sp;
-        self.fire_mem_write::<BUF>(d, seg, idx, sp, 8);
+        self.fire_mem_write(d, sp, 8);
         if !d.hooks.is_empty() {
             let ev = Event::Call {
                 ip: d.pc,
@@ -1108,7 +915,7 @@ impl Vm {
                 icount: self.icount,
                 rtn: d.rtn,
             };
-            self.emit::<BUF>(d, seg, idx, hooks::CALL, ev);
+            self.dispatch(d, hooks::CALL, &ev);
         }
         Ok(Next::Jump(target))
     }
