@@ -1,14 +1,14 @@
-//! Bench: the TQTRACE3 columnar format — encoded size per format, the
-//! decoded-memory footprint of streaming versus whole-stream replay, and
-//! the replay-time cost of decoding columns on the fly. Doubles as a
-//! fidelity guard: every format must load back bit-identical, streaming
-//! profiles must match in-memory ones, and v3 must hit its ≤ 0.7× size
-//! contract on the wfs capture (the same gate `scripts/verify.sh` holds
-//! on the CLI path).
+//! Bench: the TQTRACE3 columnar format — encoded size against the decoded
+//! row stream, the decoded-memory footprint of streaming versus
+//! whole-stream replay, and the replay-time cost of decoding columns on
+//! the fly. Doubles as a fidelity guard: the capture must load back
+//! bit-identical, streaming profiles must match in-memory ones, and v3
+//! must hit its ≤ 0.7× size contract against the row stream on the wfs
+//! capture (the same gate `scripts/verify.sh` holds on the CLI path).
 
 use tq_bench::save;
 use tq_tquad::{TquadOptions, TquadTool};
-use tq_trace::{StreamingTrace, Trace, TraceFormat, TraceRecorder};
+use tq_trace::{StreamingTrace, Trace, TraceRecorder};
 use tq_wfs::{WfsApp, WfsConfig};
 
 fn capture(config: WfsConfig) -> Trace {
@@ -23,12 +23,6 @@ fn capture(config: WfsConfig) -> Trace {
         .expect("chunk index")
 }
 
-fn encoded(trace: &Trace, format: TraceFormat) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    trace.save_as(&mut bytes, format).expect("save");
-    bytes
-}
-
 fn profile_of(trace: &Trace) -> tq_tquad::TquadProfile {
     let mut tool = TquadTool::new(TquadOptions::default().with_interval(5_000));
     trace.replay(&mut tool).expect("replay");
@@ -37,11 +31,8 @@ fn profile_of(trace: &Trace) -> tq_tquad::TquadProfile {
 
 fn streaming_profile(st: &StreamingTrace, jobs: usize) -> tq_tquad::TquadProfile {
     let mut tool = TquadTool::new(TquadOptions::default().with_interval(5_000));
-    if jobs > 1 {
-        st.replay_sharded(&mut tool, jobs).expect("sharded replay");
-    } else {
-        st.replay(&mut tool).expect("streaming replay");
-    }
+    st.replay_sharded(&mut tool, jobs)
+        .expect("streaming replay");
     tool.into_profile()
 }
 
@@ -51,46 +42,34 @@ fn main() {
     let n_events = trace.n_events as usize;
     let want = profile_of(&trace);
 
-    let mut report = String::from("format\tbytes\tratio_vs_v2\tbytes_per_event\n");
-    let v2_len = encoded(&trace, TraceFormat::V2).len();
+    let mut bytes = Vec::new();
+    trace.save(&mut bytes).expect("save");
+    let loaded = Trace::load(&mut bytes.as_slice()).expect("loads back");
+    assert_eq!(loaded.digest(), trace.digest(), "v3 loads bit-identical");
+    let v3_len = bytes.len();
+    let ratio = v3_len as f64 / stream_bytes as f64;
     println!("wfs small capture: {n_events} events, {stream_bytes} decoded event-stream bytes");
-    let mut v3_len = v2_len;
-    for (name, format) in [
-        ("v1", TraceFormat::V1),
-        ("v2", TraceFormat::V2),
-        ("v3", TraceFormat::V3),
-    ] {
-        let bytes = encoded(&trace, format);
-        let loaded = Trace::load(&mut bytes.as_slice()).expect("loads back");
-        assert_eq!(
-            loaded.digest(),
-            trace.digest(),
-            "{name} loads bit-identical"
-        );
-        let ratio = bytes.len() as f64 / v2_len as f64;
-        println!(
-            "  {name}: {} bytes ({ratio:.3}x v2, {:.2} B/event)",
-            bytes.len(),
-            bytes.len() as f64 / n_events as f64
-        );
+    println!(
+        "  v3: {v3_len} bytes ({ratio:.3}x the row stream, {:.2} B/event)",
+        v3_len as f64 / n_events as f64
+    );
+    let mut report = String::from("format\tbytes\tratio_vs_rows\tbytes_per_event\n");
+    for (name, len) in [("rows", stream_bytes), ("v3", v3_len)] {
         report.push_str(&format!(
-            "{name}\t{}\t{ratio:.4}\t{:.4}\n",
-            bytes.len(),
-            bytes.len() as f64 / n_events as f64
+            "{name}\t{len}\t{:.4}\t{:.4}\n",
+            len as f64 / stream_bytes as f64,
+            len as f64 / n_events as f64
         ));
-        if format == TraceFormat::V3 {
-            v3_len = bytes.len();
-        }
     }
     assert!(
-        v3_len as f64 <= 0.7 * v2_len as f64,
-        "v3 size contract broken: {v3_len} > 0.7 * {v2_len}"
+        v3_len as f64 <= 0.7 * stream_bytes as f64,
+        "v3 size contract broken: {v3_len} > 0.7 * {stream_bytes} row-stream bytes"
     );
 
     // Streaming decoded-memory footprint: a whole-stream replay holds all
     // `n_events` rows decoded at once; the lazy reader holds one chunk's
     // rows per replay thread. Report the bound and hold the fidelity gate.
-    let st = StreamingTrace::from_bytes(encoded(&trace, TraceFormat::V3)).expect("streaming open");
+    let st = StreamingTrace::from_bytes(bytes).expect("streaming open");
     let largest_chunk_rows = (0..st.n_chunks())
         .map(|k| st.chunk_rows(k).expect("chunk decodes").len())
         .max()

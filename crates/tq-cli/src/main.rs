@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! tq run     [--app wfs|img] [--scale tiny|small|paper]
-//! tq capture [--app …] [--scale …] --out FILE [--fuel N] [--format v1|v2|v3]
+//! tq capture [--app …] [--scale …] --out FILE [--fuel N]
 //! tq gprof   [--scale …] [--interval N] [--jobs N]
 //! tq tquad   [--scale …] [--interval N] [--exclude-stack] [--exclude-libs]
 //!            [--chart read|write] [--kernels a,b,c] [--width N] [--jobs N]
@@ -203,15 +203,9 @@ fn run_profiled<T: tq_vm::MergeTool + 'static>(
             let streaming = tq_trace::Trace::open_streaming(path)
                 .map_err(|e| format!("open capture {}: {e}", path.display()))?;
             let mut tool = tool;
-            if jobs > 1 {
-                streaming
-                    .replay_sharded(&mut tool, jobs)
-                    .map_err(|e| format!("sharded streaming replay failed: {e}"))?;
-            } else {
-                streaming
-                    .replay(&mut tool)
-                    .map_err(|e| format!("streaming replay failed: {e}"))?;
-            }
+            streaming
+                .replay_sharded(&mut tool, jobs)
+                .map_err(|e| format!("streaming replay failed: {e}"))?;
             return Ok(tool);
         }
         Source::Live(app) => app,
@@ -337,8 +331,6 @@ fn usage() -> String {
      \u{20}               internal spans; open in Perfetto) --no-obs (disable\n\
      \u{20}               the self-profiling layer)\n\
      capture options: --out FILE (required) --fuel N (0 = unbounded)\n\
-     \u{20}               --format v1|v2|v3 (on-disk trace format; default v3 —\n\
-     \u{20}               columnar, smallest, chunk-seekable)\n\
      tquad options:  --interval N --exclude-stack --exclude-libs --chart read|write\n\
      \u{20}               --kernels a,b,c --width N\n\
      quad options:   --exclude-stack --exclude-libs --dot PATH\n\
@@ -511,31 +503,20 @@ fn run(argv: &[String]) -> Result<(), Failure> {
                 Err(tq_vm::VmError::FuelExhausted { .. }) if fuel.is_some() => {}
                 Err(e) => return Err(e.to_string().into()),
             }
-            let format = match args.get("format").unwrap_or("v3") {
-                "v1" => tq_trace::TraceFormat::V1,
-                "v2" => tq_trace::TraceFormat::V2,
-                "v3" => tq_trace::TraceFormat::V3,
-                other => return Err(format!("unknown --format `{other}` (v1|v2|v3)").into()),
-            };
-            let mut trace = vm
+            let trace = vm
                 .detach_tool::<tq_trace::TraceRecorder>(h)
                 .ok_or("internal error: detached tool had unexpected type")?
                 .into_trace();
-            // Index at capture time (v2/v3): the one sequential scan
-            // happens here, so later `--capture FILE --jobs N` replays and
-            // streaming readers never pay it. v1 keeps the index-less
-            // legacy layout.
-            if format != tq_trace::TraceFormat::V1 {
-                trace = trace
-                    .with_chunk_index(tq_trace::DEFAULT_CHUNKS)
-                    .map_err(|e| format!("chunk indexing failed: {e}"))?;
-            }
+            // `save` indexes the trace (DEFAULT_CHUNKS) on the way out: the
+            // one sequential scan happens here, so later `--capture FILE
+            // --jobs N` replays and streaming readers never pay it.
             trace
-                .save_to_path_as(std::path::Path::new(out), format)
+                .save_to_path(std::path::Path::new(out))
                 .map_err(|e| format!("write {out}: {e}"))?;
             let written = std::fs::metadata(out).map(|m| m.len()).unwrap_or(0);
             println!(
-                "capture written to {out}: {} events, {written} bytes, digest {}",
+                "capture written to {out}: {} events, {} row bytes, {written} bytes, digest {}",
+                trace.n_events,
                 trace.events.len(),
                 trace.digest()
             );

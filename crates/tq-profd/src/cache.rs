@@ -149,8 +149,9 @@ impl CaptureStore {
     /// will feed `Trace::load` (or stream chunk-by-chunk), so serving them
     /// skips decode + re-encode entirely and keeps the columnar TQTRACE3
     /// form's size advantage on the wire. `None` when there is no disk
-    /// tier, the file is absent, or it does not look like a capture (a
-    /// torn write must not be handed to a peer as truth).
+    /// tier, the file is absent, or it does not carry the `TQTRACE3` magic
+    /// (a torn write or a retired v1/v2 file must not be handed to a peer
+    /// as a capture).
     pub fn peek_bytes(&self, digest: &str) -> Option<Vec<u8>> {
         // Same fault point as the other disk-tier reads: an injected IO
         // failure degrades to the decode-and-reencode path, never a panic.
@@ -160,7 +161,7 @@ impl CaptureStore {
         }
         let path = self.capture_path(digest)?;
         let bytes = std::fs::read(&path).ok()?;
-        bytes.starts_with(b"TQTRACE").then_some(bytes)
+        bytes.starts_with(tq_trace::MAGIC).then_some(bytes)
     }
 
     /// Fetch the capture for `digest` only if some tier already holds it —
@@ -451,6 +452,28 @@ mod tests {
         let mem = CaptureStore::new(None, 1 << 20);
         mem.get_or_record("k", || Ok(tiny_trace(4))).unwrap();
         assert!(mem.peek_bytes("k").is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn legacy_capture_files_are_misses_that_re_record() {
+        let dir = std::env::temp_dir().join(format!("tq-profd-legacy-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = CaptureStore::new(Some(dir.clone()), 1 << 20);
+        // A state dir left behind by a build that wrote the retired
+        // row-stream layout: right magic family, wrong version.
+        let path = store.capture_path("k").expect("disk tier");
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        let mut legacy = b"TQTRACE2".to_vec();
+        legacy.extend_from_slice(&[0; 32]);
+        std::fs::write(&path, &legacy).unwrap();
+
+        assert!(store.peek_bytes("k").is_none(), "never handed to a peer");
+        let t = tiny_trace(8);
+        let (_, source) = store.get_or_record("k", || Ok(t.clone())).unwrap();
+        assert_eq!(source, CaptureSource::Recorded);
+        let on_disk = std::fs::read(&path).unwrap();
+        assert!(on_disk.starts_with(b"TQTRACE3"), "overwritten as v3");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

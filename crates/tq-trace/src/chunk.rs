@@ -7,7 +7,8 @@
 //! as if the whole prefix had been replayed first. [`Trace::chunk_index`]
 //! builds the index with one sequential decode pass;
 //! [`Trace::replay_sharded`] then drives one [`MergeTool`] worker per chunk
-//! and folds the partial states back together **in chunk order**, which is
+//! run (through the replay driver in [`crate::stream`]) and folds the
+//! partial states back together **in chunk order**, which is
 //! what lets order-dependent state (QUAD's last-writer shadow memory)
 //! resolve cross-shard references exactly. Determinism is the contract:
 //! sharded output must be byte-identical to sequential output.
@@ -189,8 +190,8 @@ impl Trace {
         Ok(chunks)
     }
 
-    /// Attach a precomputed `n_chunks`-way index, upgrading the trace to
-    /// the seekable TQTRACE2 format on the next `save`.
+    /// Attach a precomputed `n_chunks`-way index; the next `save` stores
+    /// one columnar blob per chunk.
     pub fn with_chunk_index(mut self, n_chunks: usize) -> Result<Trace, TraceError> {
         self.chunks = Some(self.chunk_index(n_chunks)?);
         Ok(self)
@@ -205,12 +206,11 @@ impl Trace {
     /// `verify.sh` smoke check.
     ///
     /// An embedded index with at least `n_jobs` chunks is coarsened into
-    /// shard spans for free (each shard takes a run of adjacent chunks and
-    /// resumes from the first one's snapshot), so a trace indexed once at
-    /// capture time never pays the index scan again, for *any* job count
-    /// up to the index width. Without a usable index the scan runs here —
-    /// a sequential decode pass that caps the speedup, which is why
-    /// capture paths index eagerly.
+    /// shards for free (each shard takes a run of adjacent chunks), so a
+    /// trace indexed once at capture time never pays the index scan again,
+    /// for *any* job count up to the index width. Without a usable index
+    /// the scan runs here — a sequential decode pass that caps the
+    /// speedup, which is why capture paths index eagerly.
     ///
     /// `n_jobs <= 1` (or a trace with fewer events than jobs would leave
     /// non-trivial) degrades to plain sequential replay.
@@ -219,84 +219,22 @@ impl Trace {
         tool: &mut dyn MergeTool,
         n_jobs: usize,
     ) -> Result<(), TraceError> {
-        let _span = tq_obs::span("replay_sharded", "replay");
-        let max_shards = self.n_events.clamp(1, 1 << 16) as usize;
-        let shards = n_jobs.clamp(1, max_shards);
-        if shards <= 1 {
-            return self.replay(tool);
-        }
-        crate::obs::sharded_replays().inc();
-        let chunks: Vec<ChunkMeta> = match &self.chunks {
-            // Coarsen a finer (or equal) index: shard `k` spans the
-            // contiguous chunk run `[k*len/shards, (k+1)*len/shards)`.
-            Some(idx) if idx.len() >= shards => (0..shards)
-                .map(|k| {
-                    let lo = k * idx.len() / shards;
-                    let hi = (k + 1) * idx.len() / shards;
-                    ChunkMeta {
-                        start: idx[lo].start,
-                        end: idx[hi - 1].end,
-                        ctx: idx[lo].ctx.clone(),
-                    }
-                })
-                .collect(),
-            _ => self.chunk_index(shards)?,
+        let shards = n_jobs.clamp(1, self.n_events.clamp(1, 1 << 16) as usize);
+        let built;
+        let chunks = match &self.chunks {
+            _ if shards <= 1 => return self.replay(tool),
+            Some(idx) if idx.len() >= shards => idx,
+            _ => {
+                built = self.chunk_index(shards)?;
+                &built
+            }
         };
-
-        tool.on_attach(&self.info);
-        if let Some(instr) = &self.instr {
-            tool.on_instr(instr);
-        }
-        let mut workers: Vec<Box<dyn MergeTool>> = {
-            let _fork = tq_obs::span("fork", "replay");
-            chunks[1..]
-                .iter()
-                .map(|c| tool.fork(&self.info, &c.ctx))
-                .collect()
-        };
-
-        let (head, tails) = std::thread::scope(|s| {
-            let handles: Vec<_> = workers
-                .iter_mut()
-                .zip(&chunks[1..])
-                .enumerate()
-                .map(|(i, (w, c))| {
-                    s.spawn(move || {
-                        if tq_obs::enabled() {
-                            tq_obs::set_thread_name(format!("shard-{}", i + 1));
-                        }
-                        let _shard = tq_obs::span_named(format!("shard-{}", i + 1), "replay");
-                        self.replay_span(c.start as usize, c.end as usize, &c.ctx, &mut **w)
-                    })
-                })
-                .collect();
-            // The root tool takes chunk 0 on this thread instead of idling.
-            let c0 = &chunks[0];
-            let head = {
-                let _shard = tq_obs::span("shard-0", "replay");
-                self.replay_span(c0.start as usize, c0.end as usize, &c0.ctx, tool)
-            };
-            let tails: Vec<_> = handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
-                .collect();
-            (head, tails)
-        });
-
-        let _merge = tq_obs::span("merge", "replay");
-        let mut end = head?;
-        for (worker, result) in workers.into_iter().zip(tails) {
-            end = result?;
-            tool.absorb(worker);
-        }
-        if !end.saw_fini {
-            tool.on_fini(end.last_icount);
-        }
-        Ok(())
+        let driver = self.driver(chunks);
+        driver.sharded(tool, shards)
     }
 }
 
-/// Serialise a chunk index (the TQTRACE2 tail section).
+/// Serialise a chunk index (the section after the `TQTRACE3` header).
 pub(crate) fn write_index(buf: &mut Vec<u8>, chunks: &[ChunkMeta]) {
     write_u64(buf, chunks.len() as u64);
     for c in chunks {
@@ -547,9 +485,8 @@ mod tests {
             let mut got = Vec::new();
             for c in &chunks {
                 let mut part = Collector::default();
-                trace
-                    .replay_span(c.start as usize, c.end as usize, &c.ctx, &mut part)
-                    .unwrap();
+                let rows = &trace.events[c.start as usize..c.end as usize];
+                crate::replay_rows(&trace.info, rows, &c.ctx, &mut part).unwrap();
                 got.extend(part.events);
             }
             assert_eq!(got, seq.events, "{n}-way chunking changed the stream");
@@ -623,7 +560,6 @@ mod tests {
     #[test]
     fn index_roundtrips_through_save_load() {
         let trace = sample_trace().with_chunk_index(4).unwrap();
-        // Default save upgrades an indexed trace to the columnar v3 form.
         let mut bytes = Vec::new();
         trace.save(&mut bytes).unwrap();
         assert_eq!(&bytes[..8], b"TQTRACE3");
@@ -631,10 +567,5 @@ mod tests {
         assert_eq!(back, trace);
         // The index is derived metadata: digests match the plain trace.
         assert_eq!(back.digest(), sample_trace().digest());
-        // An explicitly pinned v2 carries the same index and rows.
-        let mut v2 = Vec::new();
-        trace.save_as(&mut v2, crate::TraceFormat::V2).unwrap();
-        assert_eq!(&v2[..8], b"TQTRACE2");
-        assert_eq!(Trace::load(&mut v2.as_slice()).unwrap(), trace);
     }
 }

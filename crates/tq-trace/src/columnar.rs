@@ -14,10 +14,10 @@
 //!
 //! The codec is **exactly invertible**: [`decode_chunk`] re-encodes the
 //! original row bytes (the canonical varint writer is deterministic), so a
-//! v3 file loads to a [`crate::Trace`] that is byte-identical — same
-//! digest, same replay — to the v2/v1 form it was saved from. `save`
-//! verifies that inversion per chunk and falls back to v2 if a chunk's rows
-//! are not canonically encoded (possible only for hand-crafted streams).
+//! capture loads to a [`crate::Trace`] that is byte-identical — same
+//! digest, same replay — to the one saved. `save` verifies that inversion
+//! per chunk and fails if a chunk's rows are not canonically encoded
+//! (possible only for hand-crafted streams).
 //!
 //! Decoding is panic-proof: truncated varints, bad column lengths, corrupt
 //! RLE, and unknown kinds or flags all return `Err`, never panic, and every

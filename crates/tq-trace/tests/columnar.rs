@@ -1,5 +1,5 @@
 //! TQTRACE3 property net: the columnar codec must be a *byte-exact*
-//! inverse of the row encoding (same rows, same digest, any format), the
+//! inverse of the row encoding (same rows, same digest), the
 //! streaming reader must reproduce in-memory replay bit-for-bit with only
 //! one chunk decoded at a time, and corrupt or truncated v3 images must
 //! come back as `Err`s, never panics. Mirrors `sharded_replay.rs`: seeded
@@ -10,7 +10,7 @@ use tq_isa::prng::Rng;
 use tq_isa::RoutineId;
 use tq_quad::{QuadOptions, QuadTool};
 use tq_tquad::{TquadOptions, TquadTool};
-use tq_trace::{StreamingTrace, Trace, TraceFormat, TraceRecorder};
+use tq_trace::{StreamingTrace, Trace, TraceError, TraceRecorder, DEFAULT_CHUNKS};
 use tq_vm::{Event, ProgramInfo, RoutineMeta, Tool};
 
 /// Same program shape as `sharded_replay.rs`: two main-image routines and
@@ -153,9 +153,9 @@ fn strided_trace(n_iters: usize) -> Trace {
     rec.into_trace()
 }
 
-fn save_bytes(trace: &Trace, format: TraceFormat) -> Vec<u8> {
+fn save_bytes(trace: &Trace) -> Vec<u8> {
     let mut bytes = Vec::new();
-    trace.save_as(&mut bytes, format).expect("save");
+    trace.save(&mut bytes).expect("save");
     bytes
 }
 
@@ -165,7 +165,7 @@ fn v3_save_load_roundtrips_bit_exactly() {
         let trace = random_trace(0x3C01 ^ seed, 1_200)
             .with_chunk_index(8)
             .expect("chunk index");
-        let bytes = save_bytes(&trace, TraceFormat::V3);
+        let bytes = save_bytes(&trace);
         assert_eq!(&bytes[..8], b"TQTRACE3", "seed {seed}");
         let reloaded = Trace::load(&mut bytes.as_slice()).expect("reload");
         assert_eq!(trace, reloaded, "seed {seed}: v3 roundtrip not byte-exact");
@@ -174,61 +174,20 @@ fn v3_save_load_roundtrips_bit_exactly() {
 }
 
 #[test]
-fn cross_version_saves_load_identically() {
-    // One capture, three carriers: v1 drops the (derived) chunk index but
-    // every format must reproduce the identical row stream and digest.
-    let trace = random_trace(0xA11CE, 1_500)
-        .with_chunk_index(8)
-        .expect("chunk index");
-    let v1 = save_bytes(&trace, TraceFormat::V1);
-    let v2 = save_bytes(&trace, TraceFormat::V2);
-    let v3 = save_bytes(&trace, TraceFormat::V3);
-    assert_eq!(&v1[..8], b"TQTRACE1");
-    assert_eq!(&v2[..8], b"TQTRACE2");
-    assert_eq!(&v3[..8], b"TQTRACE3");
-
-    let l1 = Trace::load(&mut v1.as_slice()).expect("load v1");
-    let l2 = Trace::load(&mut v2.as_slice()).expect("load v2");
-    let l3 = Trace::load(&mut v3.as_slice()).expect("load v3");
-    assert_eq!(l1.events, trace.events);
-    assert_eq!(l1.info, trace.info);
-    assert_eq!(l1.n_events, trace.n_events);
-    assert_eq!(l1.chunks, None, "v1 carries no index");
-    assert_eq!(l2, trace);
-    assert_eq!(l3, trace);
-    for (what, l) in [("v1", &l1), ("v2", &l2), ("v3", &l3)] {
-        assert_eq!(l.digest(), trace.digest(), "{what} digest drifted");
-    }
-}
-
-#[test]
-fn indexless_traces_negotiate_down_to_v1() {
-    // No chunk index → nothing for v2/v3 to add; both fall back to the
-    // original format rather than inventing chunk boundaries.
-    let trace = random_trace(0xD0CC, 400);
-    assert!(trace.chunks.is_none());
-    for format in [TraceFormat::V2, TraceFormat::V3] {
-        let bytes = save_bytes(&trace, format);
-        assert_eq!(&bytes[..8], b"TQTRACE1", "{format:?} should fall back");
-        assert_eq!(Trace::load(&mut bytes.as_slice()).expect("load"), trace);
-    }
-}
-
-#[test]
 fn v3_wins_on_strided_captures() {
-    // The verify.sh gate asserts ≤ 0.7× on the wfs smoke capture; the
-    // synthetic kernel-shaped trace pins the same bound in-tree.
+    // The verify.sh gate asserts ≤ 0.7× the row stream on the wfs smoke
+    // capture; the synthetic kernel-shaped trace pins the same bound
+    // in-tree.
     let trace = strided_trace(3_000)
         .with_chunk_index(8)
         .expect("chunk index");
-    let v2 = save_bytes(&trace, TraceFormat::V2);
-    let v3 = save_bytes(&trace, TraceFormat::V3);
+    let v3 = save_bytes(&trace);
     assert_eq!(&v3[..8], b"TQTRACE3");
     assert!(
-        (v3.len() as f64) <= 0.7 * (v2.len() as f64),
-        "v3 {} bytes vs v2 {} bytes — compression regressed",
+        (v3.len() as f64) <= 0.7 * (trace.events.len() as f64),
+        "v3 {} bytes vs {} row-stream bytes — compression regressed",
         v3.len(),
-        v2.len()
+        trace.events.len()
     );
     // And random traces — the codec's worst case — must still roundtrip
     // without ballooning past the row encoding by more than the per-chunk
@@ -236,13 +195,12 @@ fn v3_wins_on_strided_captures() {
     let rnd = random_trace(0x5123, 2_000)
         .with_chunk_index(8)
         .expect("index");
-    let rv2 = save_bytes(&rnd, TraceFormat::V2);
-    let rv3 = save_bytes(&rnd, TraceFormat::V3);
+    let rv3 = save_bytes(&rnd);
     assert!(
-        rv3.len() <= rv2.len() + 64 * 8,
-        "v3 {} bytes vs v2 {} bytes on incompressible input",
+        rv3.len() <= rnd.events.len() + 64 * 8,
+        "v3 {} bytes vs {} row-stream bytes on incompressible input",
         rv3.len(),
-        rv2.len()
+        rnd.events.len()
     );
 }
 
@@ -270,7 +228,7 @@ fn truncated_v3_errors_instead_of_panicking() {
     let trace = random_trace(0x5EED3, 800)
         .with_chunk_index(4)
         .expect("chunk index");
-    let bytes = save_bytes(&trace, TraceFormat::V3);
+    let bytes = save_bytes(&trace);
     let mut rng = Rng::new(0x7E573);
     for _ in 0..200 {
         let cut = rng.index(bytes.len());
@@ -287,7 +245,7 @@ fn corrupted_v3_errors_instead_of_panicking() {
     let trace = random_trace(0xD1CE3, 800)
         .with_chunk_index(4)
         .expect("chunk index");
-    let pristine = save_bytes(&trace, TraceFormat::V3);
+    let pristine = save_bytes(&trace);
     let mut rng = Rng::new(0xF00D3);
     for _ in 0..200 {
         let mut bytes = pristine.clone();
@@ -300,8 +258,7 @@ fn corrupted_v3_errors_instead_of_panicking() {
 }
 
 /// Streaming replay (sequential and sharded) must match in-memory
-/// sequential replay bit-exactly for every tool, from every carrier
-/// format.
+/// sequential replay bit-exactly for every tool.
 fn assert_streaming_matches(trace: &Trace, bytes: Vec<u8>, what: &str) {
     let stream = StreamingTrace::from_bytes(bytes).expect("open streaming");
     assert_eq!(stream.info(), &trace.info, "{what}: info drifted");
@@ -369,10 +326,7 @@ fn streaming_replay_matches_in_memory_for_all_formats() {
     let trace = random_trace(0x57AE, 1_500)
         .with_chunk_index(8)
         .expect("chunk index");
-    for format in [TraceFormat::V1, TraceFormat::V2, TraceFormat::V3] {
-        let bytes = save_bytes(&trace, format);
-        assert_streaming_matches(&trace, bytes, &format!("{format:?}"));
-    }
+    assert_streaming_matches(&trace, save_bytes(&trace), "v3");
 }
 
 #[test]
@@ -389,7 +343,7 @@ fn wfs_capture_streams_exactly() {
         .into_trace()
         .with_chunk_index(8)
         .expect("chunk index");
-    let bytes = save_bytes(&trace, TraceFormat::V3);
+    let bytes = save_bytes(&trace);
     assert_eq!(&bytes[..8], b"TQTRACE3");
     assert_eq!(
         Trace::load(&mut bytes.as_slice()).expect("reload").digest(),
@@ -406,7 +360,7 @@ fn streaming_decodes_one_chunk_at_a_time() {
     let trace = random_trace(0xB0B0, 2_000)
         .with_chunk_index(8)
         .expect("chunk index");
-    let bytes = save_bytes(&trace, TraceFormat::V3);
+    let bytes = save_bytes(&trace);
     let stream = StreamingTrace::from_bytes(bytes).expect("open streaming");
     assert_eq!(stream.n_chunks(), 8);
     let mut stitched = Vec::new();
@@ -424,4 +378,66 @@ fn streaming_decodes_one_chunk_at_a_time() {
     // The resident image is the *compressed* capture, smaller than the
     // decoded rows it stands in for.
     assert!(stream.resident_bytes() < trace.events.len() + 4096);
+}
+
+#[test]
+fn indexless_traces_save_with_the_default_index() {
+    let trace = random_trace(0xD0CC, 400);
+    assert!(trace.chunks.is_none());
+    let bytes = save_bytes(&trace);
+    assert_eq!(&bytes[..8], b"TQTRACE3");
+    let back = Trace::load(&mut bytes.as_slice()).expect("load");
+    let indexed = trace
+        .clone()
+        .with_chunk_index(DEFAULT_CHUNKS)
+        .expect("chunk index");
+    assert_eq!(back, indexed);
+    assert_eq!(back.digest(), trace.digest());
+}
+
+#[test]
+fn legacy_magics_are_bad_headers() {
+    // The row-stream TQTRACE1/TQTRACE2 layouts are retired: a file that
+    // carries either magic is not a capture, whatever follows it.
+    let v3 = save_bytes(&random_trace(0x01D, 200));
+    for magic in [b"TQTRACE1", b"TQTRACE2"] {
+        let mut legacy = v3.clone();
+        legacy[..8].copy_from_slice(magic);
+        assert_eq!(
+            Trace::load(&mut legacy.as_slice()),
+            Err(TraceError::BadHeader)
+        );
+        assert!(matches!(
+            StreamingTrace::from_bytes(legacy),
+            Err(TraceError::BadHeader)
+        ));
+    }
+}
+
+#[test]
+fn non_canonical_rows_fail_to_save_and_leave_no_file() {
+    // A RoutineEnter whose kind varint is padded to two bytes (0x84 0x00
+    // decodes as 4): it replays fine, but no columnar blob can reproduce
+    // those exact row bytes, so `save` must refuse rather than write a
+    // file that loads back different.
+    let mut trace = random_trace(0xC0DE, 50);
+    let mut events = vec![0x84, 0x00, 0x01, 0x00, 0x00];
+    events.extend_from_slice(&trace.events);
+    trace.events = events;
+    trace.n_events += 1;
+    let mut sink = Vec::new();
+    let err = trace.save(&mut sink).expect_err("non-canonical rows");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(sink.is_empty(), "nothing written before the check fails");
+
+    let dir = std::env::temp_dir().join(format!("tq-trace-noncanon-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("t.capture");
+    assert!(trace.save_to_path(&path).is_err());
+    assert!(!path.exists(), "no target on a failed save");
+    assert!(
+        !path.with_extension("tmp").exists(),
+        "no temp file on a failed save"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -4,7 +4,7 @@
 
 use tq_quad::{QuadOptions, QuadTool};
 use tq_tquad::{PhaseDetector, TquadOptions, TquadTool};
-use tq_trace::{Trace, TraceRecorder};
+use tq_trace::{Trace, TraceRecorder, DEFAULT_CHUNKS};
 use tq_wfs::{WfsApp, WfsConfig};
 
 fn record(app: &WfsApp) -> (Trace, tq_tquad::TquadProfile, tq_quad::QuadProfile) {
@@ -129,6 +129,9 @@ fn trace_is_compact_and_persistable() {
         trace.n_events
     );
 
+    // A saved capture always carries a chunk index (`save` builds the
+    // default one), so compare against the indexed form.
+    let trace = trace.with_chunk_index(DEFAULT_CHUNKS).unwrap();
     let mut bytes = Vec::new();
     trace.save(&mut bytes).unwrap();
     let back = Trace::load(&mut bytes.as_slice()).unwrap();

@@ -214,7 +214,7 @@ fn coarsened_embedded_index_shards_exactly() {
 
 #[test]
 fn split_merge_roundtrips_through_save_load() {
-    // The sharded contract survives serialisation: a TQTRACE2 file loaded
+    // The sharded contract survives serialisation: a capture file loaded
     // back shards exactly like the in-memory trace it was saved from.
     let trace = random_trace(0xABCD, 1_000)
         .with_chunk_index(8)

@@ -30,20 +30,25 @@ if ./target/release/tq tquad --app img --scale tiny --interval 0 > /dev/null 2>&
     echo "verify: FAIL (--interval 0 must be rejected)"; exit 1
 fi
 
-echo "==> TQTRACE3 smoke: columnar capture <= 0.7x v2, identical profiles via the streaming reader"
-./target/release/tq capture --app wfs --scale tiny --format v2 \
-    --out "$smoke_dir/cap.v2" > /dev/null
-./target/release/tq capture --app wfs --scale tiny --format v3 \
-    --out "$smoke_dir/cap.v3" > /dev/null
-v2_bytes=$(wc -c < "$smoke_dir/cap.v2")
+echo "==> TQTRACE3 smoke: capture <= 0.7x its row stream, live profiles == capture replays"
+./target/release/tq capture --app wfs --scale tiny \
+    --out "$smoke_dir/cap.v3" > "$smoke_dir/capture.out"
+row_bytes=$(sed -n 's/.* events, \([0-9]*\) row bytes, .*/\1/p' "$smoke_dir/capture.out")
+[ -n "$row_bytes" ] \
+    || { echo "verify: FAIL (capture summary lacks the row-stream byte count)"; exit 1; }
 v3_bytes=$(wc -c < "$smoke_dir/cap.v3")
-[ "$((v3_bytes * 10))" -le "$((v2_bytes * 7))" ] \
-    || { echo "verify: FAIL (v3 capture $v3_bytes bytes > 0.7x v2 $v2_bytes bytes)"; exit 1; }
+[ "$((v3_bytes * 10))" -le "$((row_bytes * 7))" ] \
+    || { echo "verify: FAIL (v3 capture $v3_bytes bytes > 0.7x row stream $row_bytes bytes)"; exit 1; }
+# gprof's live ticks carry the current instruction, replayed ticks the
+# last event's (see `Trace::replay`), so its reference is a fresh recording
+# replayed in memory (--jobs 2), not the live run; tquad and quad are
+# live-exact.
 for tool in tquad quad gprof; do
-    ./target/release/tq "$tool" --capture "$smoke_dir/cap.v2" > "$smoke_dir/$tool.capv2"
+    case "$tool" in gprof) live_jobs=2 ;; *) live_jobs=1 ;; esac
+    ./target/release/tq "$tool" --app wfs --scale tiny --jobs "$live_jobs" > "$smoke_dir/$tool.live"
     ./target/release/tq "$tool" --capture "$smoke_dir/cap.v3" > "$smoke_dir/$tool.capv3"
-    diff "$smoke_dir/$tool.capv2" "$smoke_dir/$tool.capv3" \
-        || { echo "verify: FAIL ($tool profile diverged between v2 and v3 captures)"; exit 1; }
+    diff "$smoke_dir/$tool.live" "$smoke_dir/$tool.capv3" \
+        || { echo "verify: FAIL ($tool profile diverged between the live run and the v3 capture)"; exit 1; }
 done
 ./target/release/tq tquad --capture "$smoke_dir/cap.v3" --jobs 2 \
     --trace-out "$smoke_dir/streaming.trace.json" \
@@ -51,8 +56,8 @@ done
 diff "$smoke_dir/tquad.capv3" "$smoke_dir/tquad.capv3.j2" \
     || { echo "verify: FAIL (sharded streaming replay diverged from sequential)"; exit 1; }
 ./target/release/check_trace "$smoke_dir/streaming.trace.json" \
-    replay_sharded_streaming shard-0 shard-1 \
-    || { echo "verify: FAIL (streaming spans missing — the lazy reader never fired)"; exit 1; }
+    replay_sharded shard-0 shard-1 \
+    || { echo "verify: FAIL (sharded replay spans missing from the streaming run)"; exit 1; }
 
 # Timing-ratio guards measure wall-clock speedups on a shared single-core
 # box; a background-load burst can sink a run that passes when quiet. Give
