@@ -267,7 +267,11 @@ impl Interp {
                 let d = self.eval(dst, env)?.as_i() as u64;
                 let sa = self.eval(src, env)?.as_i() as u64;
                 let n = self.eval(bytes, env)?.as_i() as u64;
-                // Mirror the VM: read everything, then write (memmove).
+                // Mirror the VM: reject oversized copies before allocating,
+                // then read everything and write it (memmove).
+                if n > tq_vm::vm::MAX_BLOCK_COPY {
+                    return Err(InterpError::MemOutOfRange(sa));
+                }
                 let mut buf = vec![0u8; n as usize];
                 self.mem
                     .read(sa, &mut buf)
@@ -433,8 +437,12 @@ impl Interp {
             HostFn::FsRead => {
                 let fd = int_arg(0);
                 let ptr = int_arg(1) as u64;
-                let len = int_arg(2) as usize;
-                let mut buf = vec![0u8; len];
+                let len = int_arg(2) as u64;
+                // The program supplies `len`: range-check before allocating.
+                self.mem
+                    .check(ptr, len)
+                    .map_err(|_| InterpError::MemOutOfRange(ptr))?;
+                let mut buf = vec![0u8; len as usize];
                 let n = self.fs.read(fd, &mut buf);
                 if n > 0 {
                     self.mem
@@ -446,8 +454,11 @@ impl Interp {
             HostFn::FsWrite => {
                 let fd = int_arg(0);
                 let ptr = int_arg(1) as u64;
-                let len = int_arg(2) as usize;
-                let mut buf = vec![0u8; len];
+                let len = int_arg(2) as u64;
+                self.mem
+                    .check(ptr, len)
+                    .map_err(|_| InterpError::MemOutOfRange(ptr))?;
+                let mut buf = vec![0u8; len as usize];
                 self.mem
                     .read(ptr, &mut buf)
                     .map_err(|_| InterpError::MemOutOfRange(ptr))?;

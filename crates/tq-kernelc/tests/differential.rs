@@ -525,3 +525,54 @@ fn break_outside_loop_rejected() {
     m3.func(Function::new("main").body(vec![while_(ci(0), vec![if_(ci(1), vec![brk()])])]));
     assert_eq!(tq_kernelc::check(&m3), Ok(()));
 }
+
+#[test]
+fn oversized_guest_lengths_are_errors_in_both_engines() {
+    use tq_kernelc::InterpError;
+    use tq_vm::VmError;
+    // Each statement gets a length of -1 or 1 << 33 from the program: both
+    // engines must report a memory error instead of allocating it.
+    let with_len = |len: i64| -> Vec<Vec<tq_kernelc::Stmt>> {
+        let open = |mode| {
+            host_ret(
+                "fd",
+                tq_isa::HostFn::FsOpen,
+                vec![ga("path"), ci(5), ci(mode)],
+            )
+        };
+        vec![
+            vec![
+                open(0),
+                host(tq_isa::HostFn::FsRead, vec![v("fd"), ga("buf"), ci(len)]),
+            ],
+            vec![
+                open(1),
+                host(tq_isa::HostFn::FsWrite, vec![v("fd"), ga("buf"), ci(len)]),
+            ],
+            vec![memcpy_(ga("buf"), ga("buf"), ci(len))],
+        ]
+    };
+    for len in [-1, 1 << 33] {
+        for stmts in with_len(len) {
+            let mut m = Module::new("t");
+            m.global("path", ElemTy::U8, 5, GlobalInit::Bytes(b"f.dat".to_vec()));
+            m.global("buf", ElemTy::U8, 64, GlobalInit::Zero);
+            let mut body = vec![leti("fd", ci(0))];
+            body.extend(stmts);
+            m.func(Function::new("main").body(body));
+
+            let mut interp = Interp::new(&m);
+            interp.fs.add_file("f.dat", b"data".to_vec());
+            assert!(
+                matches!(interp.run(), Err(InterpError::MemOutOfRange(_))),
+                "interpreter, len {len:#x}"
+            );
+            let mut vm = Vm::new(compile(&m).expect("module compiles").program).unwrap();
+            vm.fs_mut().add_file("f.dat", b"data".to_vec());
+            assert!(
+                matches!(vm.run(Some(1_000_000)), Err(VmError::Mem { .. })),
+                "VM, len {len:#x}"
+            );
+        }
+    }
+}

@@ -9,6 +9,11 @@
 //! per-instruction sequence exactly, so boundary behaviour — which
 //! instruction exhausts fuel, where a tick fires — is bit-identical to the
 //! per-instruction interpreter by construction.
+//!
+//! Blocks are *chained*: the next block is found through the previous
+//! block's exit memo, so the `pc → slot` map of the code cache is consulted
+//! only when the memo misses (about once per block built on the case
+//! studies).
 
 use crate::vm::{Block, Next, RunExit, Vm, VmError};
 use tq_isa::INST_BYTES;
@@ -21,8 +26,8 @@ impl Vm {
             .map(|f| self.icount.saturating_add(f))
             .unwrap_or(u64::MAX);
 
+        let mut block = self.fetch_block(self.pc)?.0;
         loop {
-            let block = self.fetch_block(self.pc)?;
             self.stats.block_execs += 1;
 
             self.pc = match self.exec_block(&block, fuel_limit)? {
@@ -38,6 +43,7 @@ impl Vm {
                     });
                 }
             };
+            block = self.next_block(&block, self.pc)?;
         }
     }
 
@@ -50,9 +56,12 @@ impl Vm {
         // the fast path pays a single compare for both.
         let stop = self.next_tick.min(self.instr_gate.next_edge());
         if end <= fuel_limit && end < stop {
+            // Only the head can enter a routine, and nothing runs between
+            // its retire and its routine-entry event: fire it up front,
+            // stamped with the head's clock.
+            self.fire_rtn_enter(&block.insts[0], self.icount + 1);
             for d in block.insts.iter() {
                 self.icount += 1;
-                self.fire_rtn_enter(d);
                 match self.exec(d)? {
                     Next::Fall => {}
                     other => return Ok(other),
@@ -61,7 +70,7 @@ impl Vm {
         } else {
             // Boundary-exact slow path: the original interpreter's
             // per-instruction check sequence.
-            for d in block.insts.iter() {
+            for (i, d) in block.insts.iter().enumerate() {
                 if self.icount >= fuel_limit {
                     return Err(VmError::FuelExhausted {
                         icount: self.icount,
@@ -74,7 +83,9 @@ impl Vm {
                 // Gating-slice boundaries are hoisted exactly like ticks:
                 // the fast path never crosses one.
                 self.instr_gate.advance(self.icount);
-                self.fire_rtn_enter(d);
+                if i == 0 {
+                    self.fire_rtn_enter(d, self.icount);
+                }
                 match self.exec(d)? {
                     Next::Fall => {}
                     other => return Ok(other),

@@ -24,7 +24,7 @@ pub struct OutOfRange {
     /// Offending address.
     pub addr: u64,
     /// Access size in bytes.
-    pub size: u32,
+    pub size: u64,
 }
 
 impl std::fmt::Display for OutOfRange {
@@ -64,10 +64,13 @@ impl Memory {
         self.resident_pages
     }
 
+    /// Whether `size` bytes starting at `addr` lie inside the address
+    /// space. Host calls use it to reject a guest-supplied length before
+    /// allocating a buffer for it.
     #[inline]
-    fn check(&self, addr: u64, size: u32) -> Result<(), OutOfRange> {
+    pub fn check(&self, addr: u64, size: u64) -> Result<(), OutOfRange> {
         if addr
-            .checked_add(size as u64)
+            .checked_add(size)
             .is_some_and(|end| end <= ADDR_SPACE_END)
         {
             Ok(())
@@ -89,7 +92,7 @@ impl Memory {
     /// Read `buf.len()` bytes starting at `addr`. Unmapped pages read as
     /// zero without being materialised.
     pub fn read(&self, addr: u64, buf: &mut [u8]) -> Result<(), OutOfRange> {
-        self.check(addr, buf.len() as u32)?;
+        self.check(addr, buf.len() as u64)?;
         let mut a = addr;
         let mut rest = buf;
         while !rest.is_empty() {
@@ -108,7 +111,7 @@ impl Memory {
 
     /// Write `buf` starting at `addr`.
     pub fn write(&mut self, addr: u64, buf: &[u8]) -> Result<(), OutOfRange> {
-        self.check(addr, buf.len() as u32)?;
+        self.check(addr, buf.len() as u64)?;
         let mut a = addr;
         let mut rest = buf;
         while !rest.is_empty() {
@@ -125,7 +128,7 @@ impl Memory {
     /// Read an unsigned little-endian integer of `size` ∈ {1,2,4,8} bytes.
     #[inline]
     pub fn read_uint(&self, addr: u64, size: u32) -> Result<u64, OutOfRange> {
-        self.check(addr, size)?;
+        self.check(addr, size as u64)?;
         let off = (addr as usize) & (PAGE_SIZE - 1);
         if off + size as usize <= PAGE_SIZE {
             // Fast path: within one page.
@@ -151,7 +154,7 @@ impl Memory {
     /// Write the low `size` ∈ {1,2,4,8} bytes of `value`, little-endian.
     #[inline]
     pub fn write_uint(&mut self, addr: u64, size: u32, value: u64) -> Result<(), OutOfRange> {
-        self.check(addr, size)?;
+        self.check(addr, size as u64)?;
         let off = (addr as usize) & (PAGE_SIZE - 1);
         if off + size as usize <= PAGE_SIZE {
             let page_idx = (addr >> PAGE_SHIFT) as usize;
@@ -267,5 +270,22 @@ mod tests {
         assert!(m.write_uint(ADDR_SPACE_END - 4, 8, 1).is_err());
         assert!(m.read_uint(u64::MAX - 2, 4).is_err());
         assert!(m.write_uint(ADDR_SPACE_END - 8, 8, 1).is_ok());
+    }
+
+    #[test]
+    fn range_check_takes_full_u64_lengths() {
+        let m = Memory::new();
+        assert!(m.check(0, ADDR_SPACE_END).is_ok());
+        assert!(m.check(0, ADDR_SPACE_END + 1).is_err());
+        // A u32 cast would truncate these lengths to 0 and accept them.
+        assert_eq!(
+            m.check(0x1000, 1 << 32),
+            Err(OutOfRange {
+                addr: 0x1000,
+                size: 1 << 32
+            })
+        );
+        assert!(m.check(0, 1 << 33).is_err());
+        assert!(m.check(1, u64::MAX).is_err());
     }
 }

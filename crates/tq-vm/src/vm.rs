@@ -13,6 +13,7 @@ use crate::instr::{InstrGate, InstrInfo, InstrMode};
 use crate::layout;
 use crate::mem::{Memory, OutOfRange};
 use crate::tool::{hooks, Event, HookMask, InsContext, ProgramInfo, RoutineMeta, Tool};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::rc::Rc;
 use tq_isa::{abi, DecodeError, HostFn, Inst, Program, RoutineId, INST_BYTES};
@@ -107,7 +108,8 @@ pub struct VmStats {
     pub blocks_built: u64,
     /// Basic block executions dispatched.
     pub block_execs: u64,
-    /// Code-cache hits.
+    /// Code-cache hits: block executions served by the previous block's
+    /// exit memo or by the `pc → slot` map, without a rebuild.
     pub cache_hits: u64,
     /// `Tool::instrument_ins` invocations (instrumentation-time work).
     pub instrument_calls: u64,
@@ -141,6 +143,31 @@ pub(crate) struct DecodedInst {
 /// A cached basic block: the dense pre-decoded instruction array.
 pub(crate) struct Block {
     pub(crate) insts: Box<[DecodedInst]>,
+    /// The block's last two exits as `(target pc, cache slot)`, most
+    /// recent first: the chain the run loop follows before it consults the
+    /// `pc → slot` map. Both start as the block's own `(start, slot)`,
+    /// which is a true mapping and catches self-loops at once.
+    exits: [Cell<(u64, u32)>; 2],
+}
+
+impl Block {
+    /// The cache slot of the block at `pc`, if one of the memoised exits
+    /// leads there.
+    #[inline]
+    pub(crate) fn chained(&self, pc: u64) -> Option<u32> {
+        let (t0, s0) = self.exits[0].get();
+        if t0 == pc {
+            return Some(s0);
+        }
+        let (t1, s1) = self.exits[1].get();
+        (t1 == pc).then_some(s1)
+    }
+
+    /// Memoise the exit to `pc`, evicting the older of the two.
+    pub(crate) fn chain(&self, pc: u64, slot: u32) {
+        self.exits[1].set(self.exits[0].get());
+        self.exits[0].set((pc, slot));
+    }
 }
 
 pub(crate) enum Next {
@@ -183,7 +210,11 @@ pub struct Vm {
     tick_interval: Vec<u64>,
     tick_due: Vec<u64>,
     pub(crate) next_tick: u64,
-    cache: HashMap<u64, Rc<Block>>,
+    /// The code cache, addressed by slot.
+    blocks: Vec<Rc<Block>>,
+    /// Block start pc → slot in `blocks`; consulted only when the previous
+    /// block's exit memo misses.
+    slots: HashMap<u64, u32>,
     cache_enabled: bool,
     pub(crate) stats: VmStats,
     finished: bool,
@@ -252,7 +283,8 @@ impl Vm {
             tick_interval: Vec::new(),
             tick_due: Vec::new(),
             next_tick: u64::MAX,
-            cache: HashMap::new(),
+            blocks: Vec::new(),
+            slots: HashMap::new(),
             cache_enabled: true,
             stats: VmStats::default(),
             finished: false,
@@ -321,14 +353,15 @@ impl Vm {
         self.stack_limit = bytes.min(layout::STACK_LIMIT);
     }
 
-    /// Disable or re-enable the code cache. With the cache off, every block
-    /// is re-decoded *and re-instrumented* on every execution — the naive
-    /// instrumentation strategy Pin's design avoids; kept for the ablation
-    /// bench.
+    /// Disable or re-enable the code cache. With the cache off there is no
+    /// exit memo and no map: every block is re-decoded *and
+    /// re-instrumented* on every execution — the naive instrumentation
+    /// strategy Pin's design avoids; kept for the ablation bench.
     pub fn set_cache_enabled(&mut self, enabled: bool) {
         self.cache_enabled = enabled;
         if !enabled {
-            self.cache.clear();
+            self.blocks.clear();
+            self.slots.clear();
         }
     }
 
@@ -342,7 +375,7 @@ impl Vm {
     /// ([`RoutineId::INVALID`]) is always instrumented.
     pub fn set_instr_mode(&mut self, mode: InstrMode) -> Result<(), String> {
         assert!(
-            self.cache.is_empty() && self.icount == 0,
+            self.blocks.is_empty() && self.icount == 0,
             "the instrumentation mode must be set before execution starts"
         );
         let mut filtered = Vec::new();
@@ -391,7 +424,7 @@ impl Vm {
     /// attach at start-up).
     pub fn attach_tool(&mut self, mut tool: Box<dyn Tool>) -> ToolHandle {
         assert!(
-            self.cache.is_empty() && self.icount == 0,
+            self.blocks.is_empty() && self.icount == 0,
             "tools must be attached before execution starts"
         );
         tool.on_attach(&self.info);
@@ -439,7 +472,9 @@ impl Vm {
         }
     }
 
-    fn build_block(&mut self, start: u64) -> Result<Block, VmError> {
+    /// Decode and instrument the block at `start`, destined for cache
+    /// `slot`.
+    fn build_block(&mut self, start: u64, slot: u32) -> Result<Block, VmError> {
         let Some((_, img)) = self.program.image_at(start) else {
             return Err(VmError::BadPc(start));
         };
@@ -517,20 +552,42 @@ impl Vm {
         self.stats.blocks_built += 1;
         Ok(Block {
             insts: insts.into_boxed_slice(),
+            exits: [Cell::new((start, slot)), Cell::new((start, slot))],
         })
     }
 
-    pub(crate) fn fetch_block(&mut self, pc: u64) -> Result<Rc<Block>, VmError> {
+    /// The block at `pc` and its cache slot, from the map or freshly built
+    /// (and cached, when the cache is on).
+    pub(crate) fn fetch_block(&mut self, pc: u64) -> Result<(Rc<Block>, u32), VmError> {
         if self.cache_enabled {
-            if let Some(b) = self.cache.get(&pc) {
+            if let Some(&slot) = self.slots.get(&pc) {
                 self.stats.cache_hits += 1;
-                return Ok(b.clone());
+                return Ok((self.blocks[slot as usize].clone(), slot));
             }
         }
-        let b = Rc::new(self.build_block(pc)?);
+        let slot = self.blocks.len() as u32;
+        let b = Rc::new(self.build_block(pc, slot)?);
         if self.cache_enabled {
-            self.cache.insert(pc, b.clone());
+            self.slots.insert(pc, slot);
+            self.blocks.push(b.clone());
         }
+        Ok((b, slot))
+    }
+
+    /// The block control reaches at `pc` on leaving `from`: through
+    /// `from`'s exit memo when it holds `pc`, else through
+    /// [`Vm::fetch_block`], memoising the exit.
+    #[inline]
+    pub(crate) fn next_block(&mut self, from: &Block, pc: u64) -> Result<Rc<Block>, VmError> {
+        if !self.cache_enabled {
+            return Ok(self.fetch_block(pc)?.0);
+        }
+        if let Some(slot) = from.chained(pc) {
+            self.stats.cache_hits += 1;
+            return Ok(self.blocks[slot as usize].clone());
+        }
+        let (b, slot) = self.fetch_block(pc)?;
+        from.chain(pc, slot);
         Ok(b)
     }
 
@@ -594,17 +651,18 @@ impl Vm {
         self.dispatch(d, hooks::MEM_WRITE, &ev);
     }
 
-    /// Fire the routine-entry analysis event if this decoded instruction
-    /// heads a routine and any tool subscribed. Only the first instruction
-    /// of a block can be a routine head (blocks never cross routine
-    /// boundaries).
+    /// Fire the routine-entry analysis event, stamped with virtual clock
+    /// `icount`, if this decoded instruction heads a routine and any tool
+    /// subscribed. Only the first instruction of a block can be a routine
+    /// head (blocks never cross routine boundaries), so callers pass the
+    /// block head only.
     #[inline]
-    pub(crate) fn fire_rtn_enter(&mut self, d: &DecodedInst) {
+    pub(crate) fn fire_rtn_enter(&mut self, d: &DecodedInst, icount: u64) {
         if d.rtn_enter && !d.hooks.is_empty() {
             let ev = Event::RoutineEnter {
                 rtn: d.rtn,
                 sp: self.regs[abi::SP.idx()],
-                icount: self.icount,
+                icount,
             };
             self.dispatch(d, hooks::RTN_ENTER, &ev);
         }
@@ -678,7 +736,9 @@ impl Vm {
         self.fregs[f.idx()]
     }
 
-    /// Execute one decoded instruction.
+    /// Execute one decoded instruction. Inlined so both dispatch loops
+    /// switch on the opcode in place and keep the result in registers.
+    #[inline(always)]
     pub(crate) fn exec(&mut self, d: &DecodedInst) -> Result<Next, VmError> {
         use Inst::*;
         let pc = d.pc;
@@ -833,7 +893,7 @@ impl Vm {
                         pc,
                         err: OutOfRange {
                             addr: self.r(src),
-                            size: u32::MAX,
+                            size: n,
                         },
                     });
                 }
@@ -959,8 +1019,10 @@ impl Vm {
             HostFn::FsRead => {
                 let fd = self.r(abi::A0) as i64;
                 let ptr = self.r(abi::A1);
-                let len = self.r(abi::A2) as usize;
-                let mut buf = vec![0u8; len];
+                let len = self.r(abi::A2);
+                // The guest supplies `len`: range-check before allocating.
+                self.mem.check(ptr, len).map_err(merr)?;
+                let mut buf = vec![0u8; len as usize];
                 let n = self.fs.read(fd, &mut buf);
                 if n > 0 {
                     // Host-side copy: invisible to instrumentation, like a
@@ -972,8 +1034,9 @@ impl Vm {
             HostFn::FsWrite => {
                 let fd = self.r(abi::A0) as i64;
                 let ptr = self.r(abi::A1);
-                let len = self.r(abi::A2) as usize;
-                let mut buf = vec![0u8; len];
+                let len = self.r(abi::A2);
+                self.mem.check(ptr, len).map_err(merr)?;
+                let mut buf = vec![0u8; len as usize];
                 self.mem.read(ptr, &mut buf).map_err(merr)?;
                 let n = self.fs.write(fd, &buf);
                 self.regs[abi::A0.idx()] = n as u64;

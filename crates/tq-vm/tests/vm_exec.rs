@@ -786,3 +786,238 @@ fn two_tools_same_type_independent() {
     assert_eq!(r1.events.len(), r2.events.len());
     assert!(r1.fini_called && r2.fini_called);
 }
+
+/// Runs `build`'s program with the code cache on and with it off. In both
+/// runs every block execution is either a build or a cache hit, nothing is
+/// a hit with the cache off, and the two runs agree on the clock, the block
+/// executions and every register. Returns the cached run's stats.
+fn check_cache_counters(build: impl Fn(&mut Asm)) -> tq_vm::VmStats {
+    let run = |cached: bool| {
+        let (mut vm, _) = run_asm(&build);
+        vm.set_cache_enabled(cached);
+        let exit = vm.run(None).unwrap();
+        let s = *vm.stats();
+        assert_eq!(
+            s.blocks_built + s.cache_hits,
+            s.block_execs,
+            "cached={cached}: {s:?}"
+        );
+        let regs: Vec<u64> = (0..32).map(|r| vm.reg(Reg(r))).collect();
+        (exit.icount, s, regs)
+    };
+    let (icount, on, regs_on) = run(true);
+    let (icount_off, off, regs_off) = run(false);
+    assert_eq!(off.cache_hits, 0);
+    assert_eq!(icount, icount_off);
+    assert_eq!(on.block_execs, off.block_execs);
+    assert_eq!(regs_on, regs_off);
+    on
+}
+
+#[test]
+fn chained_cache_counts_a_self_looping_block() {
+    let s = check_cache_counters(|a| {
+        a.begin_routine("main").unwrap();
+        a.emit(Inst::Li { rd: Reg(1), imm: 0 });
+        a.emit(Inst::Li {
+            rd: Reg(2),
+            imm: 500,
+        });
+        a.label("loop").unwrap();
+        a.emit(Inst::AddI {
+            rd: Reg(1),
+            rs1: Reg(1),
+            imm: 1,
+        });
+        a.br(BrCond::Lt, Reg(1), Reg(2), "loop");
+        a.emit(Inst::Halt);
+    });
+    // The entry block runs the first iteration, the loop block the other
+    // 499 (built once, then its own exit), and the halt block ends it.
+    assert_eq!((s.blocks_built, s.block_execs), (3, 501));
+}
+
+#[test]
+fn chained_cache_counts_an_alternating_branch() {
+    let s = check_cache_counters(|a| {
+        a.begin_routine("main").unwrap();
+        a.emit(Inst::Li { rd: Reg(1), imm: 0 });
+        a.emit(Inst::Li {
+            rd: Reg(2),
+            imm: 100,
+        });
+        a.emit(Inst::Li { rd: Reg(3), imm: 0 });
+        a.emit(Inst::Li { rd: Reg(9), imm: 0 });
+        a.label("loop").unwrap();
+        a.emit(Inst::XorI {
+            rd: Reg(3),
+            rs1: Reg(3),
+            imm: 1,
+        });
+        // Taken on even iterations, falls through on odd ones.
+        a.br(BrCond::Eq, Reg(3), Reg(9), "skip");
+        a.emit(Inst::AddI {
+            rd: Reg(10),
+            rs1: Reg(10),
+            imm: 1,
+        });
+        a.label("skip").unwrap();
+        a.emit(Inst::AddI {
+            rd: Reg(1),
+            rs1: Reg(1),
+            imm: 1,
+        });
+        a.br(BrCond::Lt, Reg(1), Reg(2), "loop");
+        a.emit(Inst::Halt);
+    });
+    assert_eq!(s.blocks_built, 5);
+}
+
+#[test]
+fn chained_cache_counts_a_rotating_indirect_call() {
+    let (mut vm, _) = run_asm(rotating_calls);
+    vm.run(None).unwrap();
+    assert_eq!(vm.reg(Reg(10)), 30 * 111 / 3, "each callee ran 10 times");
+
+    // Three targets rotate through one `CallR` site, so its two-entry exit
+    // memo misses every time and the map serves the call.
+    let s = check_cache_counters(rotating_calls);
+    assert!(s.blocks_built <= 8, "blocks_built = {}", s.blocks_built);
+}
+
+/// `main` calls `f0`, `f1`, `f2`, `f0`, … 30 times through one `CallR`.
+fn rotating_calls(a: &mut Asm) {
+    a.begin_routine("main").unwrap();
+    a.emit(Inst::Li { rd: Reg(1), imm: 0 });
+    a.emit(Inst::Li {
+        rd: Reg(2),
+        imm: 30,
+    });
+    a.li_addr(Reg(4), "f0");
+    a.li_addr(Reg(5), "f1");
+    a.li_addr(Reg(6), "f2");
+    a.label("loop").unwrap();
+    a.emit(Inst::CallR { rs: Reg(4) });
+    a.emit(Inst::Mv {
+        rd: Reg(7),
+        rs: Reg(4),
+    });
+    a.emit(Inst::Mv {
+        rd: Reg(4),
+        rs: Reg(5),
+    });
+    a.emit(Inst::Mv {
+        rd: Reg(5),
+        rs: Reg(6),
+    });
+    a.emit(Inst::Mv {
+        rd: Reg(6),
+        rs: Reg(7),
+    });
+    a.emit(Inst::AddI {
+        rd: Reg(1),
+        rs1: Reg(1),
+        imm: 1,
+    });
+    a.br(BrCond::Lt, Reg(1), Reg(2), "loop");
+    a.emit(Inst::Halt);
+    for (name, imm) in [("f0", 1), ("f1", 10), ("f2", 100)] {
+        a.begin_routine(name).unwrap();
+        a.emit(Inst::AddI {
+            rd: Reg(10),
+            rs1: Reg(10),
+            imm,
+        });
+        a.emit(Inst::Ret);
+    }
+}
+
+/// Loads the 64-bit `v` into `rd`.
+fn li64(a: &mut Asm, rd: Reg, v: u64) {
+    a.emit(Inst::Li {
+        rd,
+        imm: v as u32 as i32,
+    });
+    a.emit(Inst::OrHi {
+        rd,
+        imm: (v >> 32) as u32 as i32,
+    });
+}
+
+/// Guest-controlled lengths a host call must survive: all ones (`-1`) and
+/// one that a `u32` cast would truncate to 0.
+const HUGE_LENS: [u64; 2] = [u64::MAX, 1 << 33];
+const FS_BUF: u64 = layout::GLOBALS_BASE + 0x100;
+
+/// Opens `f.dat` (for writing when `func` is `FsWrite`), then calls `func`
+/// with the length `len`: the name length for `FsOpen`, the byte count of
+/// a transfer between the opened file and `FS_BUF` otherwise.
+fn run_fs_call(func: HostFn, len: u64) -> (Result<tq_vm::RunExit, VmError>, Vm) {
+    let name = b"f.dat";
+    let (mut vm, _) = run_asm(|a| {
+        a.data(layout::GLOBALS_BASE, name.to_vec());
+        a.begin_routine("main").unwrap();
+        a.emit(Inst::Li {
+            rd: abi::A0,
+            imm: layout::GLOBALS_BASE as i32,
+        });
+        if func == HostFn::FsOpen {
+            li64(a, abi::A1, len);
+        } else {
+            a.emit(Inst::Li {
+                rd: abi::A1,
+                imm: name.len() as i32,
+            });
+        }
+        a.emit(Inst::Li {
+            rd: abi::A2,
+            imm: (func == HostFn::FsWrite) as i32,
+        });
+        a.emit(Inst::Host {
+            func: HostFn::FsOpen,
+        });
+        if func != HostFn::FsOpen {
+            a.emit(Inst::Li {
+                rd: abi::A1,
+                imm: FS_BUF as i32,
+            });
+            li64(a, abi::A2, len);
+            a.emit(Inst::Host { func });
+        }
+        a.emit(Inst::Halt);
+    });
+    vm.fs_mut().add_file("f.dat", b"data".to_vec());
+    (vm.run(None), vm)
+}
+
+fn assert_fs_transfer_rejected(func: HostFn) {
+    for len in HUGE_LENS {
+        match run_fs_call(func, len).0 {
+            Err(VmError::Mem { err, .. }) => {
+                assert_eq!((err.addr, err.size), (FS_BUF, len), "{func:?}")
+            }
+            other => panic!("{func:?} with len {len:#x}: expected a memory error, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn fs_read_rejects_a_length_leaving_the_address_space() {
+    assert_fs_transfer_rejected(HostFn::FsRead);
+}
+
+#[test]
+fn fs_write_rejects_a_length_leaving_the_address_space() {
+    assert_fs_transfer_rejected(HostFn::FsWrite);
+}
+
+#[test]
+fn fs_open_caps_a_huge_name_length() {
+    for len in HUGE_LENS {
+        let (res, vm) = run_fs_call(HostFn::FsOpen, len);
+        res.unwrap();
+        // The name is read up to its 4 KiB cap: "f.dat" and trailing NULs,
+        // which names no file.
+        assert_eq!(vm.reg(abi::A0) as i64, -1, "len {len:#x}");
+    }
+}
