@@ -67,4 +67,23 @@ fn main() {
         }
         s.len()
     });
+
+    // Long ranges (one equal-writer run of a bulk copy): one masked OR per
+    // bitmap word. Starts are unaligned, so every range straddles pages.
+    bench("unma_insert_range_4KiB_x1k/page_bitmap", || {
+        let mut s = AddressSet::new();
+        for i in 0..1_000u64 {
+            s.insert_range(0x1000_0000 + i * 4096 + 100, 4096);
+        }
+        s.len()
+    });
+    bench("unma_insert_range_4KiB_x1k/hashset", || {
+        let mut s: HashSet<u64> = HashSet::new();
+        for i in 0..1_000u64 {
+            for a in 0..4096u64 {
+                s.insert(0x1000_0000 + i * 4096 + 100 + a);
+            }
+        }
+        s.len()
+    });
 }

@@ -117,16 +117,18 @@ fn main() {
     }
     println!("{}", table.render());
 
-    let finest = rows.first().map(|(_, t)| t / bare).unwrap_or(0.0);
-    let coarsest = rows
+    let mut tquad: Vec<(&str, f64)> = rows
         .iter()
         .filter(|(l, _)| l.starts_with("tquad") && !l.contains("WITHOUT"))
-        .map(|(_, t)| t / bare)
-        .fold(f64::INFINITY, f64::min);
-    println!(
-        "tquad slowdown range: {coarsest:.2}× … {finest:.2}× \
-         (shape check: finer slices / more analysis → more overhead)"
-    );
+        .map(|(l, t)| (l.trim_start_matches("tquad "), t / bare))
+        .collect();
+    tquad.sort_by(|a, b| a.1.total_cmp(&b.1));
+    if let (Some((lo_label, lo)), Some((hi_label, hi))) = (tquad.first(), tquad.last()) {
+        println!(
+            "tquad slowdown range: {lo:.2}× ({lo_label}) … {hi:.2}× ({hi_label}) \
+             (shape check: finer slices / more analysis → more overhead)"
+        );
+    }
 
     save("overhead.csv", &table.to_csv());
 }

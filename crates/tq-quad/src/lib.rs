@@ -16,6 +16,7 @@
 //!   WorkBench partitioning objective).
 
 pub mod cluster;
+mod pages;
 pub mod report;
 pub mod shadow;
 pub mod tool;

@@ -2,12 +2,12 @@
 //!
 //! QUAD's producer→consumer semantics: when kernel `f` reads a byte that
 //! kernel `g` most recently wrote, a binding `g → f` of one byte exists.
-//! The shadow memory answers "who wrote this byte last?" in O(1).
+//! The shadow stores one writer tag per byte, in pages of the shared
+//! page store (`SlabMap`), but answers reads a *run* at a time:
+//! [`ShadowMemory::for_each_run`] visits the maximal stretches of equal
+//! last writer, so the tool pays one binding update per run, not per byte.
 
-use std::collections::HashMap;
-
-const PAGE_SHIFT: u32 = 12;
-const PAGE_SIZE: usize = 4096;
+use crate::pages::{new_page, SlabMap, PAGE_SHIFT, PAGE_SIZE};
 
 /// Kernel tag stored per byte; 0 means "never written".
 pub type WriterTag = u32;
@@ -15,7 +15,7 @@ pub type WriterTag = u32;
 /// The shadow memory.
 #[derive(Default)]
 pub struct ShadowMemory {
-    pages: HashMap<u64, Box<[WriterTag; PAGE_SIZE]>>,
+    pages: SlabMap<u64, Box<[WriterTag; PAGE_SIZE]>>,
 }
 
 impl ShadowMemory {
@@ -33,14 +33,9 @@ impl ShadowMemory {
         let mut a = addr;
         let end = addr.saturating_add(len as u64);
         while a < end {
-            let page = a >> PAGE_SHIFT;
-            let off = (a & 0xFFF) as usize;
+            let off = a as usize & (PAGE_SIZE - 1);
             let n = ((end - a) as usize).min(PAGE_SIZE - off);
-            let p = self
-                .pages
-                .entry(page)
-                .or_insert_with(|| Box::new([0; PAGE_SIZE]));
-            p[off..off + n].fill(writer);
+            self.pages.get_or_insert_with(a >> PAGE_SHIFT, new_page)[off..off + n].fill(writer);
             a += n as u64;
         }
     }
@@ -48,31 +43,33 @@ impl ShadowMemory {
     /// The last writer of the byte at `addr` (0 if never written).
     #[inline]
     pub fn writer_at(&self, addr: u64) -> WriterTag {
-        let page = addr >> PAGE_SHIFT;
-        let off = (addr & 0xFFF) as usize;
-        self.pages.get(&page).map(|p| p[off]).unwrap_or(0)
+        let off = addr as usize & (PAGE_SIZE - 1);
+        self.pages.get(addr >> PAGE_SHIFT).map_or(0, |p| p[off])
     }
 
-    /// Visit the writers of `[addr, addr+len)`, one callback per byte.
+    /// Visit `[addr, addr+len)` as runs `f(start, n, writer)`: in address
+    /// order, each run the longest stretch of one last writer that stays
+    /// inside one page (runs are split at page boundaries). Clipped at the
+    /// top of the address space like [`ShadowMemory::write`].
     #[inline]
-    pub fn for_each_writer(&self, addr: u64, len: u32, mut f: impl FnMut(u64, WriterTag)) {
+    pub fn for_each_run(&self, addr: u64, len: u32, mut f: impl FnMut(u64, u32, WriterTag)) {
         let mut a = addr;
         let end = addr.saturating_add(len as u64);
         while a < end {
-            let page = a >> PAGE_SHIFT;
-            let off = (a & 0xFFF) as usize;
+            let off = a as usize & (PAGE_SIZE - 1);
             let n = ((end - a) as usize).min(PAGE_SIZE - off);
-            match self.pages.get(&page) {
+            match self.pages.get(a >> PAGE_SHIFT) {
                 Some(p) => {
-                    for (i, &w) in p[off..off + n].iter().enumerate() {
-                        f(a + i as u64, w);
+                    let mut rest = &p[off..off + n];
+                    let mut start = a;
+                    while let Some(&w) = rest.first() {
+                        let run = rest.iter().position(|&x| x != w).unwrap_or(rest.len());
+                        f(start, run as u32, w);
+                        start += run as u64;
+                        rest = &rest[run..];
                     }
                 }
-                None => {
-                    for i in 0..n {
-                        f(a + i as u64, 0);
-                    }
-                }
+                None => f(a, n as u32, 0),
             }
             a += n as u64;
         }
@@ -83,18 +80,11 @@ impl ShadowMemory {
     /// writer. Folding per-shard shadows in chunk order with this
     /// reproduces the sequential last-writer map exactly.
     pub fn overlay(&mut self, newer: &ShadowMemory) {
-        use std::collections::hash_map::Entry;
-        for (page, src) in &newer.pages {
-            match self.pages.entry(*page) {
-                Entry::Vacant(v) => {
-                    v.insert(src.clone());
-                }
-                Entry::Occupied(mut o) => {
-                    for (d, &s) in o.get_mut().iter_mut().zip(src.iter()) {
-                        if s != 0 {
-                            *d = s;
-                        }
-                    }
+        for (page, src) in newer.pages.iter() {
+            let dst = self.pages.get_or_insert_with(page, new_page);
+            for (d, &s) in dst.iter_mut().zip(src.iter()) {
+                if s != 0 {
+                    *d = s;
                 }
             }
         }
@@ -140,14 +130,23 @@ mod tests {
     }
 
     #[test]
-    fn for_each_writer_mixed() {
+    fn for_each_run_mixed() {
         let mut s = ShadowMemory::new();
         s.write(10, 2, 5);
         let mut seen = Vec::new();
-        s.for_each_writer(8, 6, |a, w| seen.push((a, w)));
+        s.for_each_run(8, 6, |a, n, w| seen.push((a, n, w)));
+        assert_eq!(seen, vec![(8, 2, 0), (10, 2, 5), (12, 2, 0)]);
+    }
+
+    #[test]
+    fn runs_split_at_page_boundaries() {
+        let mut s = ShadowMemory::new();
+        s.write(4096 - 4, 8, 2);
+        let mut seen = Vec::new();
+        s.for_each_run(4096 - 6, 12, |a, n, w| seen.push((a, n, w)));
         assert_eq!(
             seen,
-            vec![(8, 0), (9, 0), (10, 5), (11, 5), (12, 0), (13, 0)]
+            vec![(4090, 2, 0), (4092, 4, 2), (4096, 4, 2), (4100, 2, 0)]
         );
     }
 
@@ -169,11 +168,8 @@ mod tests {
     #[test]
     fn unmapped_region_reports_zero() {
         let s = ShadowMemory::new();
-        let mut count = 0;
-        s.for_each_writer(1 << 20, 16, |_, w| {
-            assert_eq!(w, 0);
-            count += 1;
-        });
-        assert_eq!(count, 16);
+        let mut seen = Vec::new();
+        s.for_each_run(1 << 20, 16, |a, n, w| seen.push((a, n, w)));
+        assert_eq!(seen, vec![(1 << 20, 16, 0)]);
     }
 }

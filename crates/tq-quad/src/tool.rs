@@ -14,6 +14,7 @@
 //! analysis cost (used for the paper's Table III "QUAD-instrumented"
 //! profile).
 
+use crate::pages::SlabMap;
 use crate::shadow::ShadowMemory;
 use crate::unma::AddressSet;
 use std::collections::HashMap;
@@ -65,14 +66,16 @@ pub struct QuadTool {
     stack: CallStack,
     shadow: ShadowMemory,
     kernels: Vec<KernelData>,
-    bindings: HashMap<(u32, u32), Binding>,
+    /// Producer→consumer edges. Consecutive reads mostly follow one edge,
+    /// which the map's last-key memo serves without hashing.
+    bindings: SlabMap<(u32, u32), Binding>,
     /// True in a forked shard worker: reads of bytes with no writer in the
     /// *local* shadow may have a producer in an earlier chunk, so they are
     /// logged as orphans instead of being dismissed.
     shard_mode: bool,
-    /// Orphan reads: (address, consuming kernel) → byte count, resolved
-    /// against the accumulated prefix shadow at absorb time.
-    orphans: HashMap<(u64, u32), u64>,
+    /// Orphan reads: (run start, run length, consuming kernel) → times
+    /// read, resolved against the accumulated prefix shadow at absorb time.
+    orphans: HashMap<(u64, u32, u32), u64>,
     /// Reduced-instrumentation metadata of the producing run (see
     /// [`Tool::on_instr`]); `None` under full instrumentation.
     instr: Option<InstrInfo>,
@@ -98,7 +101,7 @@ impl QuadTool {
             stack: CallStack::new(),
             shadow: ShadowMemory::new(),
             kernels: Vec::new(),
-            bindings: HashMap::new(),
+            bindings: SlabMap::default(),
             shard_mode: false,
             orphans: HashMap::new(),
             instr: None,
@@ -167,8 +170,9 @@ impl QuadTool {
                 unma: b.unma.len(),
             })
             .collect();
-        // Deterministic order: HashMap iteration is randomised per process,
-        // and sharded replay must render byte-identically to sequential.
+        // Deterministic order: edges are stored in first-use order, which
+        // differs between sequential and sharded replay, and the two must
+        // render byte-identically.
         bindings.sort_by_key(|b| (b.producer.0, b.consumer.0));
         {
             use std::sync::OnceLock;
@@ -188,6 +192,26 @@ impl QuadTool {
             instr: note,
         }
     }
+}
+
+/// Charge `times` reads by `consumer` of the `n`-byte run at `start`, last
+/// written by `producer`: the producer's OUT and the binding edge grow by
+/// `n * times` bytes, and the run's addresses join the edge's UnMA.
+#[inline]
+fn consume(
+    kernels: &mut [KernelData],
+    bindings: &mut SlabMap<(u32, u32), Binding>,
+    producer: u32,
+    consumer: u32,
+    start: u64,
+    n: u32,
+    times: u64,
+) {
+    let bytes = n as u64 * times;
+    kernels[producer as usize].out_bytes += bytes;
+    let b = bindings.get_or_insert_with((producer, consumer), Binding::default);
+    b.bytes += bytes;
+    b.unma.insert_range(start, n);
 }
 
 impl Tool for QuadTool {
@@ -265,25 +289,21 @@ impl Tool for QuadTool {
                 }
                 self.kernels[ki].in_bytes += size as u64;
                 self.kernels[ki].in_unma.insert_range(ea, size);
-                // Producer lookup per byte; consumption is charged to the
-                // producer's OUT and recorded as a binding edge. Disjoint
-                // field borrows keep this allocation-free on the hot path.
-                let shadow = &self.shadow;
+                // Producer lookup per equal-writer run; consumption is
+                // charged to the producer's OUT and recorded as a binding
+                // edge. Disjoint field borrows keep this allocation-free on
+                // the hot path.
                 let kernels = &mut self.kernels;
                 let bindings = &mut self.bindings;
                 let orphans = &mut self.orphans;
                 let shard_mode = self.shard_mode;
-                shadow.for_each_writer(ea, size, |addr, w| {
+                self.shadow.for_each_run(ea, size, |start, n, w| {
                     if w != 0 {
-                        let producer = w - 1;
-                        kernels[producer as usize].out_bytes += 1;
-                        let b = bindings.entry((producer, k)).or_default();
-                        b.bytes += 1;
-                        b.unma.insert(addr);
+                        consume(kernels, bindings, w - 1, k, start, n, 1);
                     } else if shard_mode {
                         // The producer (if any) wrote in an earlier chunk;
                         // resolved against the prefix shadow at absorb.
-                        *orphans.entry((addr, k)).or_insert(0) += 1;
+                        *orphans.entry((start, n, k)).or_insert(0) += 1;
                     }
                 });
             }
@@ -333,10 +353,11 @@ impl MergeTool for QuadTool {
 
     /// Fold a finished shard in. Order is the whole point:
     ///
-    /// 1. the worker's orphan reads are resolved against `self.shadow`,
+    /// 1. the worker's orphan runs are resolved against `self.shadow`,
     ///    which (workers being absorbed in chunk order) holds exactly the
-    ///    last-writer map of the worker's prefix — producers in earlier
-    ///    chunks get their OUT bytes and binding edges stitched here;
+    ///    last-writer map of the worker's prefix — each run splits into its
+    ///    equal-writer sub-runs there, and producers in earlier chunks get
+    ///    their OUT bytes and binding edges stitched here;
     /// 2. only then is the worker's shadow overlaid (its writes are newer);
     /// 3. counters sum and UnMA sets union, both order-insensitive.
     fn absorb(&mut self, other: Box<dyn MergeTool>) {
@@ -352,19 +373,20 @@ impl MergeTool for QuadTool {
             ..
         } = *other;
 
-        for ((addr, consumer), count) in other_orphans {
-            let w = self.shadow.writer_at(addr);
-            if w != 0 {
-                let producer = w - 1;
-                self.kernels[producer as usize].out_bytes += count;
-                let b = self.bindings.entry((producer, consumer)).or_default();
-                b.bytes += count;
-                b.unma.insert(addr);
-            } else if self.shard_mode {
-                // This tool is itself a shard of a larger fold: pass the
-                // still-unresolved read up to the next level.
-                *self.orphans.entry((addr, consumer)).or_insert(0) += count;
-            }
+        let kernels = &mut self.kernels;
+        let bindings = &mut self.bindings;
+        let orphans = &mut self.orphans;
+        let shard_mode = self.shard_mode;
+        for ((addr, len, consumer), count) in other_orphans {
+            self.shadow.for_each_run(addr, len, |start, n, w| {
+                if w != 0 {
+                    consume(kernels, bindings, w - 1, consumer, start, n, count);
+                } else if shard_mode {
+                    // This tool is itself a shard of a larger fold: pass
+                    // the still-unresolved sub-run up to the next level.
+                    *orphans.entry((start, n, consumer)).or_insert(0) += count;
+                }
+            });
         }
         self.shadow.overlay(&other_shadow);
         for (k, ok) in self.kernels.iter_mut().zip(other_kernels) {
@@ -376,7 +398,7 @@ impl MergeTool for QuadTool {
             k.out_unma.union(&ok.out_unma);
         }
         for (edge, b) in other_bindings {
-            let mine = self.bindings.entry(edge).or_default();
+            let mine = self.bindings.get_or_insert_with(edge, Binding::default);
             mine.bytes += b.bytes;
             mine.unma.union(&b.unma);
         }

@@ -3,14 +3,16 @@
 //!
 //! The paper's `wav_store` touches ~65 *million* distinct addresses; a
 //! `HashSet<u64>` costs ~48 bytes per element where this page-bitmap
-//! representation costs one bit (plus one 4 KiB bitmap per touched page).
-//! The `unma_sets` bench quantifies the difference; this module is the
-//! production representation.
+//! representation costs one bit (plus one 512-byte bitmap per touched 4 KiB
+//! page, kept in the shared `SlabMap`). A contiguous range is inserted
+//! with one masked OR per 64-bit bitmap word, so an access or an
+//! equal-writer run costs its word count, not its byte count. The
+//! `unma_sets` bench quantifies both; this module is the production
+//! representation.
 
-use std::collections::HashMap;
+use crate::pages::{new_page, SlabMap, PAGE_SHIFT, PAGE_SIZE};
 
-const PAGE_SHIFT: u32 = 12;
-const WORDS_PER_PAGE: usize = 4096 / 64;
+const WORDS_PER_PAGE: usize = PAGE_SIZE / 64;
 
 /// A set of 64-bit byte addresses, one bit per address within 4 KiB pages.
 ///
@@ -23,7 +25,7 @@ const WORDS_PER_PAGE: usize = 4096 / 64;
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct AddressSet {
-    pages: HashMap<u64, Box<[u64; WORDS_PER_PAGE]>>,
+    pages: SlabMap<u64, Box<[u64; WORDS_PER_PAGE]>>,
     len: u64,
 }
 
@@ -36,13 +38,8 @@ impl AddressSet {
     /// Insert an address; returns true if it was new.
     #[inline]
     pub fn insert(&mut self, addr: u64) -> bool {
-        let page = addr >> PAGE_SHIFT;
-        let off = (addr & 0xFFF) as usize;
-        let bitmap = self
-            .pages
-            .entry(page)
-            .or_insert_with(|| Box::new([0u64; WORDS_PER_PAGE]));
-        let word = &mut bitmap[off / 64];
+        let off = addr as usize & (PAGE_SIZE - 1);
+        let word = &mut self.pages.get_or_insert_with(addr >> PAGE_SHIFT, new_page)[off / 64];
         let mask = 1u64 << (off % 64);
         if *word & mask == 0 {
             *word |= mask;
@@ -53,31 +50,28 @@ impl AddressSet {
         }
     }
 
-    /// Insert a contiguous range `[addr, addr+len)` (one access of `len`
-    /// bytes). Ranges that stay within one 64-bit bitmap word — every
-    /// aligned access of ≤ 8 bytes — take a single-mask fast path.
+    /// Insert a contiguous range `[addr, addr+len)` (one access or run of
+    /// `len` bytes): one masked OR per bitmap word it covers. Ranges are
+    /// clipped at the top of the address space rather than overflowing
+    /// (only reachable via corrupt replayed traces).
     #[inline]
     pub fn insert_range(&mut self, addr: u64, len: u32) {
-        if len == 0 {
-            return;
-        }
-        let off = (addr & 0xFFF) as usize;
-        if len <= 8 && off / 64 == (off + len as usize - 1) / 64 {
-            let page = addr >> PAGE_SHIFT;
-            let bitmap = self
-                .pages
-                .entry(page)
-                .or_insert_with(|| Box::new([0u64; WORDS_PER_PAGE]));
-            let word = &mut bitmap[off / 64];
-            let mask = (u64::MAX >> (64 - len)) << (off % 64);
-            self.len += (mask & !*word).count_ones() as u64;
-            *word |= mask;
-            return;
-        }
-        // Clip at the top of the address space rather than overflowing
-        // (only reachable via corrupt replayed traces).
-        for a in addr..addr.saturating_add(len as u64) {
-            self.insert(a);
+        let mut a = addr;
+        let end = addr.saturating_add(len as u64);
+        while a < end {
+            let off = a as usize & (PAGE_SIZE - 1);
+            let stop = off + ((end - a) as usize).min(PAGE_SIZE - off);
+            let bitmap = self.pages.get_or_insert_with(a >> PAGE_SHIFT, new_page);
+            let mut bit = off;
+            while bit < stop {
+                let n = (64 - bit % 64).min(stop - bit);
+                let mask = (u64::MAX >> (64 - n)) << (bit % 64);
+                let word = &mut bitmap[bit / 64];
+                self.len += (mask & !*word).count_ones() as u64;
+                *word |= mask;
+                bit += n;
+            }
+            a += (stop - off) as u64;
         }
     }
 
@@ -86,11 +80,8 @@ impl AddressSet {
     /// replay: a union of per-shard address sets is exactly the sequential
     /// set, since addresses dedupe no matter which shard touched them.
     pub fn union(&mut self, other: &AddressSet) {
-        for (page, src) in &other.pages {
-            let dst = self
-                .pages
-                .entry(*page)
-                .or_insert_with(|| Box::new([0u64; WORDS_PER_PAGE]));
+        for (page, src) in other.pages.iter() {
+            let dst = self.pages.get_or_insert_with(page, new_page);
             for (d, &s) in dst.iter_mut().zip(src.iter()) {
                 self.len += (s & !*d).count_ones() as u64;
                 *d |= s;
@@ -100,12 +91,10 @@ impl AddressSet {
 
     /// Membership test.
     pub fn contains(&self, addr: u64) -> bool {
-        let page = addr >> PAGE_SHIFT;
-        let off = (addr & 0xFFF) as usize;
-        match self.pages.get(&page) {
-            Some(b) => b[off / 64] & (1u64 << (off % 64)) != 0,
-            None => false,
-        }
+        let off = addr as usize & (PAGE_SIZE - 1);
+        self.pages
+            .get(addr >> PAGE_SHIFT)
+            .is_some_and(|b| b[off / 64] & (1u64 << (off % 64)) != 0)
     }
 
     /// Number of addresses in the set.

@@ -36,6 +36,17 @@ fn synthetic_info() -> ProgramInfo {
     }
 }
 
+/// Mostly 1–8 B accesses; one in eight is a long access (up to three
+/// pages) that spans bitmap words and pages, so QUAD's runs and orphan runs
+/// cross shard boundaries too.
+fn access_size(rng: &mut Rng) -> u32 {
+    if rng.index(8) == 0 {
+        rng.u64_in(9, 3 * 4096) as u32
+    } else {
+        1 << rng.index(4)
+    }
+}
+
 /// Feed a seeded-random but structurally plausible event stream through
 /// the recorder: calls and returns stay balanced around a real shadow
 /// stack, reads/writes hit a mix of heap and stack addresses, and the
@@ -88,12 +99,12 @@ fn random_trace(seed: u64, n_events: usize) -> Trace {
                 let ea = if rng.index(4) == 0 {
                     sp - rng.u64_in(0, 128)
                 } else {
-                    0x1000_0000 + rng.u64_in(0, 4096)
+                    0x1000_0000 + rng.u64_in(0, 3 * 4096)
                 };
                 rec.on_event(&Event::MemRead {
                     ip,
                     ea,
-                    size: 1 << rng.index(4),
+                    size: access_size(&mut rng),
                     sp,
                     is_prefetch: rng.index(8) == 0,
                     icount,
@@ -105,12 +116,12 @@ fn random_trace(seed: u64, n_events: usize) -> Trace {
                 let ea = if rng.index(4) == 0 {
                     sp - rng.u64_in(0, 128)
                 } else {
-                    0x1000_0000 + rng.u64_in(0, 4096)
+                    0x1000_0000 + rng.u64_in(0, 3 * 4096)
                 };
                 rec.on_event(&Event::MemWrite {
                     ip,
                     ea,
-                    size: 1 << rng.index(4),
+                    size: access_size(&mut rng),
                     sp,
                     icount,
                     rtn,

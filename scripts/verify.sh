@@ -26,6 +26,22 @@ for tool in tquad quad gprof; do
     diff "$smoke_dir/$tool.seq" "$smoke_dir/$tool.sharded" \
         || { echo "verify: FAIL ($tool sharded output diverged)"; exit 1; }
 done
+# QUAD's orphan runs stitch differently per stack and library policy.
+for opt in --exclude-stack --track-libs; do
+    ./target/release/tq quad --app img --scale tiny $opt --jobs 1 > "$smoke_dir/quad$opt.seq"
+    ./target/release/tq quad --app img --scale tiny $opt --jobs 4 > "$smoke_dir/quad$opt.sharded"
+    diff "$smoke_dir/quad$opt.seq" "$smoke_dir/quad$opt.sharded" \
+        || { echo "verify: FAIL (quad $opt sharded output diverged)"; exit 1; }
+done
+tq_bin="$(pwd)/target/release/tq"
+for jobs in 1 4; do
+    mkdir "$smoke_dir/wfs.j$jobs"
+    (cd "$smoke_dir/wfs.j$jobs" \
+        && "$tq_bin" quad --app wfs --scale tiny --jobs "$jobs" --dot qdu.dot > quad.out)
+done
+diff "$smoke_dir/wfs.j1/quad.out" "$smoke_dir/wfs.j4/quad.out" \
+    && cmp "$smoke_dir/wfs.j1/qdu.dot" "$smoke_dir/wfs.j4/qdu.dot" \
+    || { echo "verify: FAIL (quad wfs sharded output or QDU graph diverged)"; exit 1; }
 if ./target/release/tq tquad --app img --scale tiny --interval 0 > /dev/null 2>&1; then
     echo "verify: FAIL (--interval 0 must be rejected)"; exit 1
 fi
