@@ -26,11 +26,7 @@ fn capture(config: WfsConfig) -> Trace {
     let mut vm = app.make_vm();
     let r = vm.attach_tool(Box::new(TraceRecorder::new()));
     vm.run(None).expect("capture run");
-    vm.detach_tool::<TraceRecorder>(r)
-        .unwrap()
-        .into_trace()
-        .with_chunk_index(tq_trace::DEFAULT_CHUNKS)
-        .expect("chunk index")
+    vm.detach_tool::<TraceRecorder>(r).unwrap().into_trace()
 }
 
 /// Best-of-N wall clock for one sharded tquad replay; also returns the

@@ -1,14 +1,48 @@
 //! Bench: analysing from a recorded trace versus re-running the
 //! instrumented VM — the payoff of the capture-once/analyse-many
 //! architecture for parameter sweeps like §V.B — plus the sharded-replay
-//! scaling sweep (shards vs wall clock on one wfs capture). Plain timing
-//! harness (`tq_bench::bench`).
+//! scaling sweep (shards vs wall clock on one wfs capture) and the cost of
+//! event delivery alone (a null tool replayed in memory and streamed).
+//! Plain timing harness (`tq_bench::bench`).
 
 use std::time::{Duration, Instant};
 use tq_bench::{bench, save};
 use tq_tquad::{TquadOptions, TquadTool};
-use tq_trace::{Trace, TraceRecorder};
+use tq_trace::{StreamingTrace, Trace, TraceRecorder};
+use tq_vm::{standard_mask, Event, HookMask, InsContext, Tool};
 use tq_wfs::{WfsApp, WfsConfig};
+
+/// Counts delivered events and does nothing else: a replay into it costs
+/// the decode and the delivery, no analysis.
+#[derive(Default)]
+struct NullTool {
+    events: u64,
+}
+
+impl Tool for NullTool {
+    fn name(&self) -> &str {
+        "null"
+    }
+    fn instrument_ins(&mut self, ins: &InsContext<'_>) -> HookMask {
+        standard_mask(ins)
+    }
+    fn on_event(&mut self, _ev: &Event) {
+        self.events += 1;
+    }
+}
+
+/// Best-of-N ns per record for a sequential null replay via `replay`.
+fn null_ns_per_event(n_events: u64, iters: usize, replay: impl Fn(&mut NullTool)) -> f64 {
+    let mut best = Duration::MAX;
+    for _ in 0..iters {
+        let mut tool = NullTool::default();
+        let t0 = Instant::now();
+        replay(&mut tool);
+        best = best.min(t0.elapsed());
+        assert_eq!(tool.events + 1, n_events, "every event but Fini delivered");
+    }
+    best.as_nanos() as f64 / n_events as f64
+}
 
 fn capture(config: WfsConfig) -> Trace {
     let app = WfsApp::build(config);
@@ -59,16 +93,14 @@ fn main() {
     });
 
     // Shard-count sweep on a bigger capture (tiny replays in microseconds,
-    // which only measures thread spawn overhead). The index is embedded
-    // once at capture time — exactly what the capture paths in tq-cli and
-    // tq-profd do — so the timed region is the pure parallel replay.
+    // which only measures thread spawn overhead). The recorder builds the
+    // chunk index as it records, so the timed region is the pure parallel
+    // replay.
     let iters: usize = std::env::var("TQ_BENCH_ITERS")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(5);
-    let big = capture(WfsConfig::small())
-        .with_chunk_index(tq_trace::DEFAULT_CHUNKS)
-        .expect("chunk index");
+    let big = capture(WfsConfig::small());
     let seq = sharded_time(&big, 1, iters);
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -93,4 +125,23 @@ fn main() {
         report.push_str(&format!("{jobs}\t{:.6}\t{speedup:.3}\n", dt.as_secs_f64()));
     }
     save("trace_replay_shards.tsv", &report);
+
+    let mut bytes = Vec::new();
+    big.save(&mut bytes).expect("save");
+    let stream = StreamingTrace::from_bytes(bytes).expect("streams");
+    let iters = iters.max(5);
+    let in_memory = null_ns_per_event(big.n_events, iters, |t| big.replay(t).expect("replays"));
+    let streaming = null_ns_per_event(big.n_events, iters, |t| stream.replay(t).expect("streams"));
+    println!(
+        "null replay, wfs small (best of {iters}): in memory {in_memory:.1} ns/event, \
+         streaming {streaming:.1} ns/event"
+    );
+    save(
+        "trace_null_replay.tsv",
+        &format!(
+            "# best of {iters}, {} events\npath\tns_per_event\n\
+             in_memory\t{in_memory:.2}\nstreaming\t{streaming:.2}\n",
+            big.n_events
+        ),
+    );
 }

@@ -219,13 +219,11 @@ fn run_profiled<T: tq_vm::MergeTool + 'static>(
             let _span = tq_obs::span("capture", "vm");
             let h = vm.attach_tool(Box::new(tq_trace::TraceRecorder::new()));
             vm.run(None).map_err(|e| e.to_string())?;
-            // Index at capture time: the one sequential scan happens here,
-            // so the sharded replay below runs fully parallel.
+            // The recorder chunks as it records, so the sharded replay
+            // below runs fully parallel with no index pass.
             vm.detach_tool::<tq_trace::TraceRecorder>(h)
                 .ok_or("internal error: detached tool had unexpected type")?
                 .into_trace()
-                .with_chunk_index(tq_trace::DEFAULT_CHUNKS)
-                .map_err(|e| format!("chunk indexing failed: {e}"))?
         };
         let mut tool = tool;
         trace
@@ -507,17 +505,17 @@ fn run(argv: &[String]) -> Result<(), Failure> {
                 .detach_tool::<tq_trace::TraceRecorder>(h)
                 .ok_or("internal error: detached tool had unexpected type")?
                 .into_trace();
-            // `save` indexes the trace (DEFAULT_CHUNKS) on the way out: the
-            // one sequential scan happens here, so later `--capture FILE
-            // --jobs N` replays and streaming readers never pay it.
+            // The recorder's column blobs are written as they are: later
+            // `--capture FILE --jobs N` replays and streaming readers use
+            // its chunk index directly.
             trace
                 .save_to_path(std::path::Path::new(out))
                 .map_err(|e| format!("write {out}: {e}"))?;
             let written = std::fs::metadata(out).map(|m| m.len()).unwrap_or(0);
             println!(
-                "capture written to {out}: {} events, {} row bytes, {written} bytes, digest {}",
+                "capture written to {out}: {} events, {written} bytes ({:.2} B/event), digest {}",
                 trace.n_events,
-                trace.events.len(),
+                written as f64 / trace.n_events.max(1) as f64,
                 trace.digest()
             );
             if let Some(info) = vm.instr_info() {

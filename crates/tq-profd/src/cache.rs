@@ -147,11 +147,11 @@ impl CaptureStore {
     /// disk tier — no decode, no memory-LRU churn. This is the cheap serve
     /// path for fleet peeks: the bytes on disk are exactly what the peer
     /// will feed `Trace::load` (or stream chunk-by-chunk), so serving them
-    /// skips decode + re-encode entirely and keeps the columnar TQTRACE3
+    /// skips decode + re-encode entirely and keeps the columnar capture
     /// form's size advantage on the wire. `None` when there is no disk
-    /// tier, the file is absent, or it does not carry the `TQTRACE3` magic
-    /// (a torn write or a retired v1/v2 file must not be handed to a peer
-    /// as a capture).
+    /// tier, the file is absent, or it does not carry the exact
+    /// [`tq_trace::MAGIC`] (a torn write or a file of a retired layout
+    /// must not be handed to a peer as a capture).
     pub fn peek_bytes(&self, digest: &str) -> Option<Vec<u8>> {
         // Same fault point as the other disk-tier reads: an injected IO
         // failure degrades to the decode-and-reencode path, never a panic.
@@ -460,20 +460,22 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("tq-profd-legacy-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = CaptureStore::new(Some(dir.clone()), 1 << 20);
-        // A state dir left behind by a build that wrote the retired
-        // row-stream layout: right magic family, wrong version.
-        let path = store.capture_path("k").expect("disk tier");
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        let mut legacy = b"TQTRACE2".to_vec();
-        legacy.extend_from_slice(&[0; 32]);
-        std::fs::write(&path, &legacy).unwrap();
+        // State dirs left behind by builds that wrote a retired layout:
+        // right magic family, wrong version.
+        for (k, magic) in [("k2", b"TQTRACE2"), ("k3", b"TQTRACE3")] {
+            let path = store.capture_path(k).expect("disk tier");
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            let mut legacy = magic.to_vec();
+            legacy.extend_from_slice(&[0; 32]);
+            std::fs::write(&path, &legacy).unwrap();
 
-        assert!(store.peek_bytes("k").is_none(), "never handed to a peer");
-        let t = tiny_trace(8);
-        let (_, source) = store.get_or_record("k", || Ok(t.clone())).unwrap();
-        assert_eq!(source, CaptureSource::Recorded);
-        let on_disk = std::fs::read(&path).unwrap();
-        assert!(on_disk.starts_with(b"TQTRACE3"), "overwritten as v3");
+            assert!(store.peek_bytes(k).is_none(), "never handed to a peer");
+            let t = tiny_trace(8);
+            let (_, source) = store.get_or_record(k, || Ok(t.clone())).unwrap();
+            assert_eq!(source, CaptureSource::Recorded);
+            let on_disk = std::fs::read(&path).unwrap();
+            assert!(on_disk.starts_with(tq_trace::MAGIC), "overwritten");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -25,16 +25,13 @@ pub fn record_capture(workload: &Workload, fuel: Option<u64>) -> Result<Trace, S
     let h = vm.attach_tool(Box::new(TraceRecorder::new()));
     vm.run(fuel)
         .map_err(|e| format!("capture run failed: {e}"))?;
+    // The recorder builds the chunk index as it records, so every later
+    // analysis of this capture shards without a rescan (the index persists
+    // through the disk tier, and the content digest ignores it).
     let rec = vm
         .detach_tool::<TraceRecorder>(h)
         .ok_or("trace recorder lost its handle")?;
-    // Embed the chunk index while the capture is hot: one scan here buys
-    // rescan-free sharded replay for every later analysis of this capture
-    // (the index persists through the disk tier, and the content digest
-    // deliberately ignores it).
-    rec.into_trace()
-        .with_chunk_index(tq_trace::DEFAULT_CHUNKS)
-        .map_err(|e| format!("chunk indexing failed: {e:?}"))
+    Ok(rec.into_trace())
 }
 
 /// Replay `trace` under the job's tool and render the profile as canonical

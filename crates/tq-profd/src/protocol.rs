@@ -490,7 +490,7 @@ impl Response {
 /// it on the wire, so one frame line is ~48 KiB plus framing — bounded on
 /// both sides and symmetric with the server's 64 KiB request-line cap.
 /// Neither peer ever materialises more than one frame's hex at a time, so
-/// transferring a multi-GB TQTRACE3 capture costs the capture bytes plus
+/// transferring a multi-GB capture costs the capture bytes plus
 /// one frame, not 3× the capture (bytes + full hex + line buffer).
 pub const PEEK_FRAME_BYTES: usize = 24 * 1024;
 

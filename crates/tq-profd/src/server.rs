@@ -558,7 +558,7 @@ impl Shared {
     ///
     /// When the disk tier holds the capture, its bytes are served as-is
     /// (one `fs::read`, no decode, no re-encode) — the cheap path for
-    /// TQTRACE3-sized captures.
+    /// capture-sized images.
     fn peek_capture_bytes(
         &self,
         app: AppId,

@@ -8,6 +8,7 @@
 //! workloads, and the implementation costs nothing (zero external crates).
 
 use tq_isa::Program;
+use tq_vm::{Event, HookMask, InsContext, Tool};
 
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 const LANE_A_OFFSET: u64 = 0xCBF2_9CE4_8422_2325; // standard FNV-1a basis
@@ -88,6 +89,84 @@ pub fn digest_program(d: &mut Digest128, program: &Program) {
             d.update_u64(seg.bytes.len() as u64);
             d.update(&seg.bytes);
         }
+    }
+}
+
+/// Hashes a replayed record sequence field by field at fixed width, so the
+/// digest depends on the events alone — never on how they were chunked or
+/// encoded. The `Fini` record is hashed under its own tag.
+pub(crate) struct EventDigest(pub Digest128);
+
+impl Tool for EventDigest {
+    fn name(&self) -> &str {
+        "event-digest"
+    }
+
+    fn instrument_ins(&mut self, _ins: &InsContext<'_>) -> HookMask {
+        0
+    }
+
+    fn on_event(&mut self, ev: &Event) {
+        let d = &mut self.0;
+        match *ev {
+            Event::MemRead {
+                ip,
+                ea,
+                size,
+                sp,
+                is_prefetch,
+                icount,
+                rtn,
+            } => {
+                let prefetch = is_prefetch as u64;
+                for v in [0, ip, ea, size as u64, sp, prefetch, icount, rtn.0 as u64] {
+                    d.update_u64(v);
+                }
+            }
+            Event::MemWrite {
+                ip,
+                ea,
+                size,
+                sp,
+                icount,
+                rtn,
+            } => {
+                for v in [1, ip, ea, size as u64, sp, icount, rtn.0 as u64] {
+                    d.update_u64(v);
+                }
+            }
+            Event::Call {
+                ip,
+                callee,
+                icount,
+                rtn,
+            } => {
+                for v in [2, ip, callee.0 as u64, icount, rtn.0 as u64] {
+                    d.update_u64(v);
+                }
+            }
+            Event::Ret {
+                ip,
+                return_to,
+                icount,
+                rtn,
+            } => {
+                for v in [3, ip, return_to, icount, rtn.0 as u64] {
+                    d.update_u64(v);
+                }
+            }
+            Event::RoutineEnter { rtn, sp, icount } => {
+                for v in [4, rtn.0 as u64, sp, icount] {
+                    d.update_u64(v);
+                }
+            }
+            Event::Tick { .. } => {} // never requested
+        }
+    }
+
+    fn on_fini(&mut self, final_icount: u64) {
+        self.0.update_u64(5);
+        self.0.update_u64(final_icount);
     }
 }
 

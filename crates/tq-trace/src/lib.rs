@@ -2,18 +2,22 @@
 //!
 //! Decouples *capture* from *analysis*, the standard profiler architecture
 //! the paper's framework implies: the [`TraceRecorder`] tool runs under
-//! the VM once, writing every memory/call/return/routine-entry event into
-//! a compact delta+varint stream; [`Trace::replay`] then feeds any
+//! the VM once, appending every memory/call/return/routine-entry event to
+//! per-chunk column blobs; [`Trace::replay`] then feeds any
 //! [`tq_vm::Tool`] offline, as many times as needed — e.g. the §V.B
 //! slice-interval sweep becomes one capture plus N cheap replays instead
 //! of N instrumented executions.
 //!
-//! Replay is **exact** for event-driven tools (tQUAD, QUAD): the replayed
-//! event sequence is bit-identical to the live one, which the round-trip
-//! tests assert. Tick-driven tools (the sampling profiler) get ticks
-//! synthesised from the recorded virtual clock; the tick's instruction
-//! pointer is the most recent event's, an approximation documented on
-//! [`Trace::replay`].
+//! The column blobs are the only event representation: the recorder
+//! writes them, [`Trace::save`] copies them behind a header and the chunk
+//! index, [`Trace::load`] and [`StreamingTrace`] read them back without
+//! decoding, and one decoder turns them straight into events for every
+//! replay. Replay is **exact** for event-driven tools (tQUAD, QUAD): the
+//! replayed event sequence is bit-identical to the live one, which the
+//! round-trip tests assert. Tick-driven tools (the sampling profiler) get
+//! ticks synthesised from the recorded virtual clock; the tick's
+//! instruction pointer is the most recent event's, an approximation
+//! documented on [`Trace::replay`].
 
 #![warn(missing_docs)]
 
@@ -55,12 +59,12 @@ pub(crate) mod obs {
         })
     }
 
-    pub fn streamed_chunks() -> &'static Counter {
+    pub fn replayed_chunks() -> &'static Counter {
         static C: OnceLock<Counter> = OnceLock::new();
         C.get_or_init(|| {
             tq_obs::counter(
-                "tq_trace_streamed_chunks_total",
-                "Columnar chunks decoded from capture images (streaming replays and loads)",
+                "tq_trace_replayed_chunks_total",
+                "Column chunks decoded by replays (in-memory and streaming)",
             )
         })
     }
@@ -70,131 +74,141 @@ use std::io::{Read, Write};
 use std::path::Path;
 use tq_isa::RoutineId;
 use tq_vm::{
-    hooks, standard_mask, Event, HookMask, InsContext, InstrInfo, ProgramInfo, RoutineMeta,
-    ShardContext, Tool,
+    standard_mask, Event, HookMask, InsContext, InstrInfo, ProgramInfo, RoutineMeta, ShardContext,
+    Tool,
 };
-use varint::{read_i64, read_u64, write_i64, write_u64};
+use varint::{read_u64, write_u64};
 
 pub use chunk::{ChunkMeta, DEFAULT_CHUNKS};
 pub use digest::{digest_program, Digest128};
 pub use stream::StreamingTrace;
 
-/// Magic of the one on-disk format, `TQTRACE3`: header, chunk index, one
-/// columnar blob per chunk (see [`columnar`]), the raw bytes past the last
-/// chunk, then the optional `TQIM` tail. Anything else — including the
+/// Magic of the one on-disk format, `TQTRACE4`: header, chunk index, the
+/// blob store (one column blob per chunk, see [`columnar`]), then the
+/// optional `TQIM` tail. Anything else — including the earlier
+/// `TQTRACE3` layout (length-prefixed blobs and a raw tail) and the
 /// retired v1/v2 row-stream layouts — fails to load with
 /// [`TraceError::BadHeader`]. Exported so cache layers check the exact
 /// magic rather than a prefix.
-pub const MAGIC: &[u8; 8] = b"TQTRACE3";
+pub const MAGIC: &[u8; 8] = b"TQTRACE4";
 /// Tag of the optional instrumentation-mode tail appended after a capture's
-/// structured payload: `TQIM`, a varint byte length, then
-/// [`InstrInfo::encode`] bytes. Full-instrumentation captures omit the tail
-/// entirely.
+/// blob store: `TQIM`, a varint byte length, then [`InstrInfo::encode`]
+/// bytes. Full-instrumentation captures omit the tail entirely.
 const INSTR_MAGIC: &[u8; 4] = b"TQIM";
 
-/// On-disk format selector for [`Trace::save_as`]: `TQTRACE3` is the only
-/// format. The enum and `save_as` stay because the benchmark harness
-/// (`perfbench/`) calls `save_as(&mut w, TraceFormat::V3)` and is frozen:
-/// workspace changes may not edit it.
+/// Events per chunk the recorder closes. A chunk is the smallest shard, so
+/// a replay runs on at most one shard per chunk: the wfs tiny capture has
+/// 10 chunks, img tiny 148 and wfs small 208, while a capture under
+/// 2 × `CHUNK_EVENTS` records replays sequentially at any job count. Per
+/// chunk framing stays a fraction of a percent of the blob store and one
+/// chunk's decoded columns fit in cache.
+pub const CHUNK_EVENTS: u64 = 1 << 14;
+
+/// On-disk format selector for [`Trace::save_as`]: `TQTRACE4` is the only
+/// format, and the variant keeps its older name. The enum and `save_as`
+/// stay because the benchmark harness (`perfbench/`) calls
+/// `save_as(&mut w, TraceFormat::V3)` and is frozen: workspace changes may
+/// not edit it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceFormat {
-    /// Header + chunk index + per-chunk columnar blobs.
+    /// `TQTRACE4`: header + chunk index + blob store.
     V3,
 }
 
-const K_MEM_READ: u64 = 0;
-const K_MEM_WRITE: u64 = 1;
-const K_CALL: u64 = 2;
-const K_RET: u64 = 3;
-const K_RTN_ENTER: u64 = 4;
-const K_FINI: u64 = 5;
-
-/// Upper bound on a single access size the decoder will believe. Real
-/// accesses are a handful of bytes (the VM records per-instruction loads
-/// and stores); anything bigger is a corrupt varint, and rejecting it here
-/// keeps downstream per-byte structures (shadow memory, UnMA bitmaps) from
-/// chewing through gigabytes of garbage.
-const MAX_ACCESS_BYTES: u64 = 1 << 16;
-
-#[inline]
-fn check_size(raw: u64) -> Result<u32, TraceError> {
-    if raw > MAX_ACCESS_BYTES {
-        return Err(TraceError::Malformed("implausible access size"));
-    }
-    Ok(raw as u32)
-}
-
-/// A recorded trace: program facts plus the encoded event stream.
+/// A recorded trace: program facts, the chunk index and the blob store.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Trace {
     /// Routine table and stack base, as tools received them at attach time.
     pub info: ProgramInfo,
-    /// Encoded events.
+    /// The blob store: every chunk's column blob, back to back.
     pub events: Vec<u8>,
-    /// Number of events recorded.
+    /// Number of records, the end-of-run `Fini` record included.
     pub n_events: u64,
-    /// Precomputed chunk index for sharded replay and columnar storage.
-    /// `None` until [`Trace::with_chunk_index`] runs; [`Trace::save`]
-    /// builds a [`DEFAULT_CHUNKS`] index first when it is absent, and a
-    /// loaded trace always has one. Replay semantics and
-    /// [`Trace::digest`] are unaffected either way.
-    pub chunks: Option<Vec<ChunkMeta>>,
+    /// Where each chunk's blob lies in `events`, with its resume snapshot.
+    /// The recorder builds it as it records; replay checks it against
+    /// `events` before decoding anything.
+    pub chunks: Vec<ChunkMeta>,
     /// Instrumentation-mode metadata when the capture was recorded under a
     /// reduced mode (`--instr`): what was dropped, and where. Saved as a
-    /// tagged tail section; `None` for full captures,
-    /// whose on-disk bytes and [`Trace::digest`] are unchanged. Replay
-    /// hands it to tools via [`Tool::on_instr`] right after attach.
+    /// tagged tail section; `None` for full captures. Replay hands it to
+    /// tools via [`Tool::on_instr`] right after attach.
     pub instr: Option<InstrInfo>,
 }
 
-/// Decoder state shared by writer and reader so deltas stay in sync.
-#[derive(Default)]
-struct DeltaState {
-    icount: u64,
-    ip: u64,
-    ea: u64,
-    sp: u64,
-}
-
-/// The recording tool: subscribe to everything, append deltas.
+/// The recording tool: subscribe to everything, append each event to the
+/// open chunk's column builders, and close a chunk — blob plus resume
+/// snapshot — every [`CHUNK_EVENTS`] records.
 pub struct TraceRecorder {
     info: Option<ProgramInfo>,
-    buf: Vec<u8>,
-    state: DeltaState,
-    n_events: u64,
     instr: Option<InstrInfo>,
+    chunk_events: u64,
+    writer: columnar::ChunkWriter,
+    blobs: Vec<u8>,
+    chunks: Vec<ChunkMeta>,
+    /// Snapshot at the open chunk's first record.
+    open: ShardContext,
+    /// Live registers: the snapshot the next chunk will start from.
+    state: ShardContext,
 }
 
 impl TraceRecorder {
-    /// New recorder.
+    /// New recorder closing a chunk every [`CHUNK_EVENTS`] records.
     pub fn new() -> Self {
+        Self::with_chunk_events(CHUNK_EVENTS)
+    }
+
+    /// New recorder closing a chunk every `n` records (at least 1): the
+    /// test hook for chunk boundaries, not a tunable — captures always use
+    /// [`CHUNK_EVENTS`]. The chunking decides the shard boundaries a
+    /// replay can use; it never changes the event sequence or
+    /// [`Trace::digest`].
+    #[doc(hidden)]
+    pub fn with_chunk_events(n: u64) -> Self {
+        let start = ShardContext::default();
         TraceRecorder {
             info: None,
-            buf: Vec::new(),
-            state: DeltaState::default(),
-            n_events: 0,
             instr: None,
+            chunk_events: n.max(1),
+            writer: columnar::ChunkWriter::new(&start),
+            blobs: Vec::new(),
+            chunks: Vec::new(),
+            open: start.clone(),
+            state: start,
         }
     }
 
-    /// Consume into the finished trace. Panics if the recorder was never
-    /// attached to a VM.
-    pub fn into_trace(self) -> Trace {
+    /// Consume into the finished trace, closing the open chunk. Panics if
+    /// the recorder was never attached to a VM.
+    pub fn into_trace(mut self) -> Trace {
+        if self.writer.records() > 0 || self.chunks.is_empty() {
+            self.close_chunk();
+        }
         Trace {
             info: self.info.expect("recorder was attached"),
-            events: self.buf,
-            n_events: self.n_events,
-            chunks: None,
+            events: self.blobs,
+            n_events: self.state.start_event,
+            chunks: self.chunks,
             instr: self.instr,
         }
     }
 
+    fn close_chunk(&mut self) {
+        let start = self.blobs.len() as u64;
+        self.writer.finish(&mut self.blobs, &self.state);
+        self.chunks.push(ChunkMeta {
+            start,
+            end: self.blobs.len() as u64,
+            ctx: std::mem::replace(&mut self.open, self.state.clone()),
+        });
+    }
+
+    /// Count the record just appended and close the chunk when it is full.
     #[inline]
-    fn head(&mut self, kind: u64, icount: u64) {
-        write_u64(&mut self.buf, kind);
-        write_u64(&mut self.buf, icount - self.state.icount);
-        self.state.icount = icount;
-        self.n_events += 1;
+    fn advance(&mut self) {
+        self.state.start_event += 1;
+        if self.writer.records() >= self.chunk_events {
+            self.close_chunk();
+        }
     }
 }
 
@@ -218,76 +232,46 @@ impl Tool for TraceRecorder {
     }
 
     fn on_event(&mut self, ev: &Event) {
+        if let Event::Tick { .. } = ev {
+            return; // never subscribed
+        }
+        let s = &mut self.state;
+        let icount = ev.icount();
+        // A clock that runs backwards wraps here and is rejected on replay.
+        self.writer.push(ev, icount.wrapping_sub(s.icount));
+        s.icount = icount;
+        // Keep the snapshot registers and both call-stack variants current
+        // with the tools' own update rules (see `ShardContext`): every
+        // routine vs. main-image-only pushes, pop-iff-top-matches on ret.
         match *ev {
             Event::MemRead {
-                ip,
-                ea,
-                size,
-                sp,
-                is_prefetch,
-                icount,
-                rtn,
+                ip, ea, sp, rtn, ..
+            }
+            | Event::MemWrite {
+                ip, ea, sp, rtn, ..
             } => {
-                self.head(K_MEM_READ, icount);
-                write_i64(&mut self.buf, ip as i64 - self.state.ip as i64);
-                self.state.ip = ip;
-                write_i64(&mut self.buf, ea as i64 - self.state.ea as i64);
-                self.state.ea = ea;
-                write_u64(&mut self.buf, size as u64);
-                write_i64(&mut self.buf, sp as i64 - self.state.sp as i64);
-                self.state.sp = sp;
-                write_u64(&mut self.buf, ((rtn.0 as u64) << 1) | is_prefetch as u64);
+                (s.ip, s.ea, s.sp, s.last_rtn) = (ip, ea, sp, rtn);
             }
-            Event::MemWrite {
-                ip,
-                ea,
-                size,
-                sp,
-                icount,
-                rtn,
-            } => {
-                self.head(K_MEM_WRITE, icount);
-                write_i64(&mut self.buf, ip as i64 - self.state.ip as i64);
-                self.state.ip = ip;
-                write_i64(&mut self.buf, ea as i64 - self.state.ea as i64);
-                self.state.ea = ea;
-                write_u64(&mut self.buf, size as u64);
-                write_i64(&mut self.buf, sp as i64 - self.state.sp as i64);
-                self.state.sp = sp;
-                write_u64(&mut self.buf, rtn.0 as u64);
+            Event::Call { ip, rtn, .. } => (s.ip, s.last_rtn) = (ip, rtn),
+            Event::Ret { ip, rtn, .. } => {
+                (s.ip, s.last_rtn) = (ip, rtn);
+                for frames in [&mut s.frames_all, &mut s.frames_main] {
+                    if frames.last().is_some_and(|f| f.0 == rtn) {
+                        frames.pop();
+                    }
+                }
             }
-            Event::Call {
-                ip,
-                callee,
-                icount,
-                rtn,
-            } => {
-                self.head(K_CALL, icount);
-                write_i64(&mut self.buf, ip as i64 - self.state.ip as i64);
-                self.state.ip = ip;
-                write_u64(&mut self.buf, callee.0 as u64);
-                write_u64(&mut self.buf, rtn.0 as u64);
+            Event::RoutineEnter { rtn, sp, .. } => {
+                (s.sp, s.last_rtn) = (sp, rtn);
+                s.frames_all.push((rtn, sp));
+                let routines = self.info.as_ref().map_or(&[][..], |i| &i.routines);
+                if routines.get(rtn.idx()).is_some_and(|r| r.main_image) {
+                    s.frames_main.push((rtn, sp));
+                }
             }
-            Event::Ret {
-                ip,
-                return_to,
-                icount,
-                rtn,
-            } => {
-                self.head(K_RET, icount);
-                write_i64(&mut self.buf, ip as i64 - self.state.ip as i64);
-                self.state.ip = ip;
-                write_i64(&mut self.buf, return_to as i64 - self.state.ip as i64);
-                write_u64(&mut self.buf, rtn.0 as u64);
-            }
-            Event::RoutineEnter { rtn, sp, icount } => {
-                self.head(K_RTN_ENTER, icount);
-                write_u64(&mut self.buf, rtn.0 as u64);
-                write_i64(&mut self.buf, sp as i64 - self.state.sp as i64);
-                self.state.sp = sp;
-            }
-            Event::Tick { .. } => {} // never subscribed
+            Event::Tick { .. } => unreachable!("ticks return above"),
         }
+        self.advance();
     }
 
     fn on_instr(&mut self, info: &InstrInfo) {
@@ -297,7 +281,10 @@ impl Tool for TraceRecorder {
     }
 
     fn on_fini(&mut self, final_icount: u64) {
-        self.head(K_FINI, final_icount);
+        self.writer
+            .push_fini(final_icount.wrapping_sub(self.state.icount));
+        self.state.icount = final_icount;
+        self.advance();
     }
 }
 
@@ -314,54 +301,19 @@ impl std::fmt::Display for TraceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TraceError::Malformed(what) => write!(f, "malformed trace: {what}"),
-            TraceError::BadHeader => write!(f, "not a TQTRACE3 file"),
+            TraceError::BadHeader => write!(f, "not a TQTRACE4 file"),
         }
     }
 }
 
 impl std::error::Error for TraceError {}
 
-/// Where a replay of some row bytes stopped.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct ReplayEnd {
-    /// Virtual clock after the last decoded event (the starting clock if
-    /// the rows were empty).
-    pub last_icount: u64,
-    /// Whether the rows ended on a `Fini` record (in which case the tool's
-    /// `on_fini` has already been delivered).
-    pub saw_fini: bool,
-}
-
-impl Trace {
-    /// Replay the trace into `tool`: `on_attach`, every event in order,
-    /// then `on_fini`. The tool's `instrument_ins` is never called —
-    /// recording already applied the standard all-events instrumentation,
-    /// so replay delivers a superset of what any instrumentation mask
-    /// would have selected; event-driven tools behave identically.
-    ///
-    /// If the tool requests ticks, they are synthesised whenever the
-    /// virtual clock passes a multiple of the interval; the tick's `ip`
-    /// and `rtn` are those of the most recent event (live ticks carry the
-    /// *current* instruction — exact for event-dense code, approximate
-    /// across long event-free stretches).
-    pub fn replay(&self, tool: &mut dyn Tool) -> Result<(), TraceError> {
-        let whole = [ChunkMeta {
-            start: 0,
-            end: self.events.len() as u64,
-            ctx: ShardContext::default(),
-        }];
-        let driver = self.driver(&whole);
-        driver.sequential(tool)
-    }
-}
-
 /// The capture header, parsed up to (but not including) the chunk index.
 pub(crate) struct ParsedHeader {
     pub info: ProgramInfo,
     pub n_events: u64,
-    /// Row event-stream length in bytes: the length the decoded chunks plus
-    /// the raw tail must reassemble to.
-    pub ev_len: usize,
+    /// Length of the blob store in bytes.
+    pub blob_len: u64,
     /// Byte offset just past the header.
     pub pos: usize,
 }
@@ -401,7 +353,7 @@ pub(crate) fn parse_header(bytes: &[u8]) -> Result<ParsedHeader, TraceError> {
         });
     }
     let n_events = ru(&mut pos)?;
-    let ev_len = ru(&mut pos)? as usize;
+    let blob_len = ru(&mut pos)?;
     Ok(ParsedHeader {
         info: ProgramInfo {
             routines,
@@ -409,210 +361,21 @@ pub(crate) fn parse_header(bytes: &[u8]) -> Result<ParsedHeader, TraceError> {
             entry,
         },
         n_events,
-        ev_len,
+        blob_len,
         pos,
     })
 }
 
-/// Replay one chunk's row bytes into `tool`, resuming the delta decoder (and
-/// the tick schedule) from the snapshot in `ctx`. This is the replay
-/// driver's building block (see [`stream`]): `on_attach` is *not* called
-/// and no fallback `on_fini` is synthesised — the driver owns both (a
-/// `Fini` record inside the rows still reaches the tool).
-///
-/// Decoding is panic-proof on corrupt input: truncated varints and unknown
-/// event kinds return `Err`, delta accumulation wraps rather than
-/// overflowing, and events are validated before they reach the tool —
-/// routine ids must be in the routine table (or [`RoutineId::INVALID`]
-/// where the live VM can produce it) and access sizes must be plausible,
-/// so tools may index by routine id without re-checking, exactly as they
-/// do against live VM events.
-pub(crate) fn replay_rows(
-    info: &ProgramInfo,
-    buf: &[u8],
-    ctx: &ShardContext,
-    tool: &mut dyn Tool,
-) -> Result<ReplayEnd, TraceError> {
-    // Per-trace precomputed per-tool event mask (DESIGN.md §14): ask the
-    // tool once which event kinds it ever acts on, and skip constructing
-    // and delivering the rest. The delta decoders still advance over every
-    // record, so the byte stream decodes identically; only the calls into
-    // the tool disappear — which is why a narrowed mask cannot change any
-    // tool's output.
-    let mask = tool.event_mask();
-    let mut tick = tool.tick_interval().unwrap_or(0);
-    // First tick strictly after the prefix clock; at stream start
-    // (icount 0) this is simply `tick`.
-    let mut next_tick = if tick > 0 {
-        (ctx.icount / tick)
-            .checked_add(1)
-            .and_then(|n| n.checked_mul(tick))
-            .unwrap_or(u64::MAX)
-    } else {
-        u64::MAX
-    };
-
-    let mut pos = 0usize;
-    let mut st = DeltaState {
-        icount: ctx.icount,
-        ip: ctx.ip,
-        ea: ctx.ea,
-        sp: ctx.sp,
-    };
-    let bad = TraceError::Malformed("unknown event kind");
-    macro_rules! ru {
-        () => {
-            read_u64(buf, &mut pos).ok_or(TraceError::Malformed("truncated varint"))?
-        };
-    }
-    macro_rules! ri {
-        () => {
-            read_i64(buf, &mut pos).ok_or(TraceError::Malformed("truncated varint"))?
-        };
-    }
-    // Validate a routine id against the routine table; INVALID is
-    // legal where the live VM can emit it (unresolved call targets,
-    // code outside all symbols).
-    let n_rtns = info.routines.len() as u32;
-    macro_rules! rid {
-        ($raw:expr) => {{
-            let r = RoutineId($raw as u32);
-            if r != RoutineId::INVALID && r.0 >= n_rtns {
-                return Err(TraceError::Malformed("routine id out of range"));
-            }
-            r
-        }};
-    }
-
-    let mut last_rtn = ctx.last_rtn;
-    while pos < buf.len() {
-        let kind = ru!();
-        let icount = st.icount.wrapping_add(ru!());
-        st.icount = icount;
-
-        while tick != 0 && next_tick <= icount {
-            if mask & hooks::TICK != 0 {
-                tool.on_event(&Event::Tick {
-                    icount: next_tick,
-                    ip: st.ip,
-                    rtn: last_rtn,
-                });
-            }
-            match next_tick.checked_add(tick) {
-                Some(n) => next_tick = n,
-                None => tick = 0, // clock saturated; no further ticks
-            }
-        }
-
-        match kind {
-            K_MEM_READ => {
-                st.ip = st.ip.wrapping_add_signed(ri!());
-                st.ea = st.ea.wrapping_add_signed(ri!());
-                let size = check_size(ru!())?;
-                st.sp = st.sp.wrapping_add_signed(ri!());
-                let packed = ru!();
-                let rtn = rid!(packed >> 1);
-                last_rtn = rtn;
-                if mask & hooks::MEM_READ != 0 {
-                    tool.on_event(&Event::MemRead {
-                        ip: st.ip,
-                        ea: st.ea,
-                        size,
-                        sp: st.sp,
-                        is_prefetch: packed & 1 != 0,
-                        icount,
-                        rtn,
-                    });
-                }
-            }
-            K_MEM_WRITE => {
-                st.ip = st.ip.wrapping_add_signed(ri!());
-                st.ea = st.ea.wrapping_add_signed(ri!());
-                let size = check_size(ru!())?;
-                st.sp = st.sp.wrapping_add_signed(ri!());
-                let rtn = rid!(ru!());
-                last_rtn = rtn;
-                if mask & hooks::MEM_WRITE != 0 {
-                    tool.on_event(&Event::MemWrite {
-                        ip: st.ip,
-                        ea: st.ea,
-                        size,
-                        sp: st.sp,
-                        icount,
-                        rtn,
-                    });
-                }
-            }
-            K_CALL => {
-                st.ip = st.ip.wrapping_add_signed(ri!());
-                let callee = rid!(ru!());
-                let rtn = rid!(ru!());
-                last_rtn = rtn;
-                if mask & hooks::CALL != 0 {
-                    tool.on_event(&Event::Call {
-                        ip: st.ip,
-                        callee,
-                        icount,
-                        rtn,
-                    });
-                }
-            }
-            K_RET => {
-                st.ip = st.ip.wrapping_add_signed(ri!());
-                let return_to = st.ip.wrapping_add_signed(ri!());
-                let rtn = rid!(ru!());
-                last_rtn = rtn;
-                if mask & hooks::RET != 0 {
-                    tool.on_event(&Event::Ret {
-                        ip: st.ip,
-                        return_to,
-                        icount,
-                        rtn,
-                    });
-                }
-            }
-            K_RTN_ENTER => {
-                let rtn = rid!(ru!());
-                if rtn == RoutineId::INVALID {
-                    // The VM only announces entries to known routines.
-                    return Err(TraceError::Malformed("routine id out of range"));
-                }
-                st.sp = st.sp.wrapping_add_signed(ri!());
-                last_rtn = rtn;
-                if mask & hooks::RTN_ENTER != 0 {
-                    tool.on_event(&Event::RoutineEnter {
-                        rtn,
-                        sp: st.sp,
-                        icount,
-                    });
-                }
-            }
-            K_FINI => {
-                tool.on_fini(icount);
-                return Ok(ReplayEnd {
-                    last_icount: icount,
-                    saw_fini: true,
-                });
-            }
-            _ => return Err(bad),
-        }
-    }
-    Ok(ReplayEnd {
-        last_icount: st.icount,
-        saw_fini: false,
-    })
-}
-
-/// Parse the optional `TQIM` instrumentation tail at `pos`. Absent tail
-/// (end of input, or trailing bytes that do not start with the tag) is
-/// `Ok(None)` — pre-section writers may leave arbitrary trailing garbage
-/// that older loaders also ignored. A *tagged* tail that is truncated or
-/// fails [`InstrInfo::decode`] is an error: the writer clearly meant to
-/// record a mode and we must not silently misreport a capture as full.
+/// Parse the optional `TQIM` instrumentation tail at `pos`: end of input
+/// is `Ok(None)`; anything else must be a well-formed tagged tail — the
+/// writer clearly meant to record a mode and we must not silently
+/// misreport a capture as full.
 fn parse_instr_tail(bytes: &[u8], pos: &mut usize) -> Result<Option<InstrInfo>, TraceError> {
-    match bytes.get(*pos..*pos + INSTR_MAGIC.len()) {
-        Some(tag) if tag == INSTR_MAGIC => {}
-        _ => return Ok(None),
+    if *pos == bytes.len() {
+        return Ok(None);
+    }
+    if bytes.get(*pos..*pos + INSTR_MAGIC.len()) != Some(INSTR_MAGIC) {
+        return Err(TraceError::Malformed("trailing bytes after capture"));
     }
     *pos += INSTR_MAGIC.len();
     let len = read_u64(bytes, pos).ok_or(TraceError::Malformed("truncated instr tail"))? as usize;
@@ -630,87 +393,55 @@ fn parse_instr_tail(bytes: &[u8], pos: &mut usize) -> Result<Option<InstrInfo>, 
 }
 
 impl Trace {
-    /// Header bytes: magic, stack base, entry, routine table, event count,
-    /// and the row event-stream length.
-    fn encode_head(&self) -> Vec<u8> {
-        let mut head = Vec::new();
-        head.extend_from_slice(MAGIC);
-        write_u64(&mut head, self.info.stack_base);
-        write_u64(&mut head, self.info.entry);
-        write_u64(&mut head, self.info.routines.len() as u64);
+    /// Everything the `TQTRACE4` image holds before the blob store: header
+    /// (magic, stack base, entry, routine table, record count, blob-store
+    /// length) and chunk index. The index must cover the blob store
+    /// contiguously from byte 0.
+    fn encode_head(&self) -> Result<Vec<u8>, TraceError> {
+        chunk::validate_index(
+            &self.chunks,
+            self.info.routines.len() as u32,
+            self.events.len() as u64,
+        )?;
+        let mut out = Vec::with_capacity(4096 + 64 * self.chunks.len());
+        out.extend_from_slice(MAGIC);
+        write_u64(&mut out, self.info.stack_base);
+        write_u64(&mut out, self.info.entry);
+        write_u64(&mut out, self.info.routines.len() as u64);
         for r in &self.info.routines {
-            write_u64(&mut head, r.name.len() as u64);
-            head.extend_from_slice(r.name.as_bytes());
-            write_u64(&mut head, r.image.len() as u64);
-            head.extend_from_slice(r.image.as_bytes());
-            head.push(r.main_image as u8);
-            write_u64(&mut head, r.start);
-            write_u64(&mut head, r.end);
+            write_u64(&mut out, r.name.len() as u64);
+            out.extend_from_slice(r.name.as_bytes());
+            write_u64(&mut out, r.image.len() as u64);
+            out.extend_from_slice(r.image.as_bytes());
+            out.push(r.main_image as u8);
+            write_u64(&mut out, r.start);
+            write_u64(&mut out, r.end);
         }
-        write_u64(&mut head, self.n_events);
-        write_u64(&mut head, self.events.len() as u64);
-        head
-    }
-
-    /// Encode the `TQTRACE3` byte image, `TQIM` tail included. An
-    /// index-less trace is indexed with [`DEFAULT_CHUNKS`] first. The
-    /// index must start at byte 0 and be contiguous (which `chunk_index`
-    /// always produces); bytes past the last chunk — possible only after a
-    /// mid-stream `Fini` — are stored raw so no data is lost. Every chunk
-    /// must pass the exact-inversion check: a chunk whose rows are not
-    /// canonically encoded (possible only in a hand-crafted stream) is an
-    /// error, because a `TQTRACE3` file must load back bit-identical.
-    fn encode(&self) -> Result<Vec<u8>, TraceError> {
-        let built;
-        let chunks = match self.chunks.as_deref() {
-            Some(idx) if !idx.is_empty() => idx,
-            _ => {
-                built = self.chunk_index(DEFAULT_CHUNKS)?;
-                &built
-            }
-        };
-        let mut out = self.encode_head();
-        chunk::write_index(&mut out, chunks);
-        let mut at = 0u64;
-        for c in chunks {
-            if c.start != at || c.end < c.start || c.end > self.events.len() as u64 {
-                return Err(TraceError::Malformed(
-                    "chunk index not contiguous from byte 0",
-                ));
-            }
-            at = c.end;
-            let rows = &self.events[c.start as usize..c.end as usize];
-            let blob = columnar::encode_chunk(rows, &c.ctx)?;
-            if columnar::decode_chunk(&blob, &c.ctx, rows.len())? != rows {
-                return Err(TraceError::Malformed(
-                    "chunk rows are not canonically encoded",
-                ));
-            }
-            write_u64(&mut out, blob.len() as u64);
-            out.extend_from_slice(&blob);
-        }
-        let tail = &self.events[at as usize..];
-        write_u64(&mut out, tail.len() as u64);
-        out.extend_from_slice(tail);
-        if let Some(info) = &self.instr {
-            let body = info.encode();
-            out.extend_from_slice(INSTR_MAGIC);
-            write_u64(&mut out, body.len() as u64);
-            out.extend_from_slice(&body);
-        }
+        write_u64(&mut out, self.n_events);
+        write_u64(&mut out, self.events.len() as u64);
+        chunk::write_index(&mut out, &self.chunks);
         Ok(out)
     }
 
-    /// Serialise to a writer as `TQTRACE3`, first building a
-    /// [`DEFAULT_CHUNKS`] index if the trace has none. A trace that cannot
-    /// be encoded exactly — a non-contiguous hand-crafted index, or rows
-    /// that are not canonically encoded — fails with
+    /// Serialise to a writer as `TQTRACE4`: header and chunk index, the
+    /// blob store as is — nothing is re-encoded — then the `TQIM` tail when
+    /// present. A trace whose chunk index does not describe its blob store
+    /// (possible only for a hand-built one) fails with
     /// [`std::io::ErrorKind::InvalidData`] before anything is written.
     pub fn save<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
-        let bytes = self
-            .encode()
+        let head = self
+            .encode_head()
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        w.write_all(&bytes)
+        w.write_all(&head)?;
+        w.write_all(&self.events)?;
+        if let Some(info) = &self.instr {
+            let body = info.encode();
+            let mut tail = INSTR_MAGIC.to_vec();
+            write_u64(&mut tail, body.len() as u64);
+            tail.extend_from_slice(&body);
+            w.write_all(&tail)?;
+        }
+        Ok(())
     }
 
     /// [`Trace::save`]. Kept only because the benchmark harness
@@ -720,29 +451,30 @@ impl Trace {
         self.save(w)
     }
 
-    /// Deserialise a `TQTRACE3` image from a reader, decoding every chunk
-    /// back into the canonical row stream: the loaded trace is
-    /// byte-identical (same digest) to the one saved. Any other magic,
-    /// including those of the retired v1/v2 layouts, is [`TraceError::BadHeader`].
+    /// Deserialise a `TQTRACE4` image from a reader. The blob store is
+    /// moved out of the image, not decoded, so the loaded trace equals the
+    /// one saved. Any other magic, including the earlier `TQTRACE3`
+    /// layout, is [`TraceError::BadHeader`].
     pub fn load<R: Read>(r: &mut R) -> Result<Trace, TraceError> {
         let mut bytes = Vec::new();
         r.read_to_end(&mut bytes)
             .map_err(|_| TraceError::Malformed("io error"))?;
-        StreamingTrace::from_bytes(bytes)?.into_trace()
+        Ok(StreamingTrace::from_bytes(bytes)?.into_trace())
     }
 
-    /// Average encoded bytes per event.
+    /// Average blob-store bytes per record.
     pub fn bytes_per_event(&self) -> f64 {
         self.events.len() as f64 / self.n_events.max(1) as f64
     }
 
-    /// Content digest of the trace itself (routine table + event stream +
-    /// instrumentation-mode metadata when present). Two traces digest equal
+    /// Content digest of the trace itself: the routine table, the record
+    /// count, every decoded record's fields at fixed width, and the
+    /// instrumentation-mode metadata when present. Two traces digest equal
     /// iff replay delivers the same event sequence *and* the same
-    /// [`InstrInfo`] to any tool — the chunk index is derived metadata and
-    /// deliberately excluded, so indexing a capture never invalidates
-    /// cached results. Full captures (`instr: None`) digest exactly as they
-    /// did before the section existed.
+    /// [`InstrInfo`] to any tool; the chunking and the blob bytes are
+    /// deliberately excluded, so re-chunking a capture never invalidates
+    /// cached results. A trace that fails to decode digests its decoded
+    /// prefix plus the error.
     pub fn digest(&self) -> String {
         let mut d = Digest128::new();
         d.update_u64(self.info.stack_base);
@@ -756,7 +488,14 @@ impl Trace {
             d.update_u64(r.end);
         }
         d.update_u64(self.n_events);
-        d.update(&self.events);
+        let mut events = digest::EventDigest(d);
+        let decoded = self
+            .driver()
+            .and_then(|replay| replay.run(0..self.chunks.len(), &mut events));
+        let mut d = events.0;
+        if let Err(e) = decoded {
+            d.update_str(&e.to_string());
+        }
         if let Some(info) = &self.instr {
             d.update_str("instr");
             d.update(&info.encode());

@@ -1,47 +1,35 @@
 //! The one replay engine, and lazy larger-than-RAM trace reading.
 //!
 //! Every replay — in-memory or file-backed, sequential or sharded — runs
-//! through one driver ([`Replay`]) over a chunk list and a `rows(k)`
-//! accessor that yields chunk `k`'s row bytes. An in-memory [`Trace`]
-//! lends borrowed slices of its row stream; a [`StreamingTrace`] decodes
-//! one chunk's columnar blob (see the `columnar` module) into an owned
-//! buffer that dies with the loop iteration. Each chunk replays from its
-//! own [`ShardContext`] snapshot, so chunk-at-a-time replay delivers
-//! exactly the event sequence of a whole-stream replay.
+//! through one driver ([`Replay`]) over a chunk list and the blob store
+//! the chunks address. Each chunk decodes from its own [`ShardContext`]
+//! snapshot straight into events (see the `columnar` module), so
+//! chunk-at-a-time replay delivers exactly the event sequence of a
+//! whole-stream replay, and no replay ever holds more than one chunk's
+//! decoded columns per thread.
 //!
-//! [`Trace::load`] materialises the whole row event stream — fine for the
-//! scaled captures, hopeless for the paper's full-size runs (6.4e9
-//! instructions). [`StreamingTrace`] keeps only the *encoded* file bytes
-//! resident, so its peak decoded-event memory is bounded by
-//! `n_shards × chunk_size`, never the full stream.
-//!
-//! Bytes past the last indexed chunk (possible only after a mid-stream
-//! `Fini`, where sequential replay stops anyway) are preserved by the
-//! format but are unreachable by streaming replay, so the reader skips
-//! them.
+//! A [`StreamingTrace`] is a [`Trace`] opened from a capture image: the
+//! blob store is moved out of the image in place, so opening a capture
+//! decodes nothing.
 
-use crate::varint::read_u64;
-use crate::{chunk, columnar, replay_rows, ChunkMeta, ReplayEnd, Trace, TraceError};
-use std::borrow::Cow;
+use crate::columnar::{self, ReplayEnd, Scratch};
+use crate::{chunk, ChunkMeta, Trace, TraceError};
 use std::ops::Range;
 use std::path::Path;
 use tq_vm::{InstrInfo, MergeTool, ProgramInfo, Tool};
 
-/// The replay driver: program facts, the chunk list, and `rows(k)`, the
-/// row bytes of chunk `k`. Sequential replay walks every chunk in order;
-/// sharded replay forks one worker per contiguous chunk run, replays the
-/// runs on scoped threads and absorbs the workers back in chunk order.
-pub(crate) struct Replay<'a, R> {
-    pub(crate) info: &'a ProgramInfo,
-    pub(crate) instr: Option<&'a InstrInfo>,
-    pub(crate) chunks: &'a [ChunkMeta],
-    pub(crate) rows: R,
+/// The replay driver: program facts, the chunk list and the blob store.
+/// Sequential replay walks every chunk in order; sharded replay forks one
+/// worker per contiguous chunk run, replays the runs on scoped threads and
+/// absorbs the workers back in chunk order.
+pub(crate) struct Replay<'a> {
+    info: &'a ProgramInfo,
+    instr: Option<&'a InstrInfo>,
+    chunks: &'a [ChunkMeta],
+    blobs: &'a [u8],
 }
 
-impl<'a, R> Replay<'a, R>
-where
-    R: Fn(usize) -> Result<Cow<'a, [u8]>, TraceError> + Sync,
-{
+impl Replay<'_> {
     fn attach(&self, tool: &mut dyn Tool) {
         tool.on_attach(self.info);
         if let Some(instr) = self.instr {
@@ -49,19 +37,40 @@ where
         }
     }
 
-    /// Replay the chunks in `run` into `tool`, each from its own snapshot,
-    /// stopping at a `Fini` record.
-    fn run(&self, run: Range<usize>, tool: &mut dyn Tool) -> Result<ReplayEnd, TraceError> {
+    fn blob(&self, k: usize) -> Result<&[u8], TraceError> {
+        let c = &self.chunks[k];
+        self.blobs
+            .get(c.start as usize..c.end as usize)
+            .ok_or(TraceError::Malformed("chunk range past end of stream"))
+    }
+
+    /// Replay the chunks in `run` into `tool`, each from its own snapshot.
+    /// A chunk whose snapshot clock is below the previous chunk's last
+    /// record, or any record after a `Fini`, is an error.
+    pub(crate) fn run(
+        &self,
+        run: Range<usize>,
+        tool: &mut dyn Tool,
+    ) -> Result<ReplayEnd, TraceError> {
+        let n_rtns = self.info.routines.len() as u32;
+        let mut scratch = Scratch::default();
         let mut end = ReplayEnd {
             last_icount: self.chunks.get(run.start).map_or(0, |c| c.ctx.icount),
             saw_fini: false,
         };
         for k in run {
-            let rows = (self.rows)(k)?;
-            end = replay_rows(self.info, &rows, &self.chunks[k].ctx, tool)?;
-            if end.saw_fini {
-                break;
+            let (ctx, blob) = (&self.chunks[k].ctx, self.blob(k)?);
+            if ctx.icount < end.last_icount {
+                return Err(TraceError::Malformed("chunk clock runs backwards"));
             }
+            if end.saw_fini {
+                if columnar::records(blob)? > 0 {
+                    return Err(TraceError::Malformed("records after Fini"));
+                }
+                continue;
+            }
+            crate::obs::replayed_chunks().inc();
+            end = columnar::replay_chunk(blob, ctx, n_rtns, &mut scratch, tool)?;
         }
         Ok(end)
     }
@@ -84,6 +93,8 @@ where
     /// [`Replay::sequential`]. The root tool replays the first run on the
     /// calling thread; every other run gets a [`MergeTool::fork`] of it,
     /// seeded from the run's first snapshot, on its own scoped thread.
+    /// Before each worker is absorbed, its run must continue the previous
+    /// run's clock and must not follow a `Fini`.
     pub(crate) fn sharded(
         &self,
         tool: &mut dyn MergeTool,
@@ -137,8 +148,19 @@ where
 
         let _merge = tq_obs::span("merge", "replay");
         let mut end = head?;
-        for (worker, result) in workers.into_iter().zip(tails) {
-            end = result?;
+        for ((worker, result), r) in workers.into_iter().zip(tails).zip(&runs[1..]) {
+            let next = result?;
+            if self.chunks[r.start].ctx.icount < end.last_icount {
+                return Err(TraceError::Malformed("chunk clock runs backwards"));
+            }
+            if !end.saw_fini {
+                end = next;
+            } else if r
+                .clone()
+                .any(|k| self.blob(k).and_then(columnar::records) != Ok(0))
+            {
+                return Err(TraceError::Malformed("records after Fini"));
+            }
             tool.absorb(worker);
         }
         if !end.saw_fini {
@@ -149,24 +171,52 @@ where
 }
 
 impl Trace {
-    /// The replay driver over `chunks` of this in-memory trace: chunk rows
-    /// are borrowed slices of `events`, never copies.
-    pub(crate) fn driver<'a>(
-        &'a self,
-        chunks: &'a [ChunkMeta],
-    ) -> Replay<'a, impl Fn(usize) -> Result<Cow<'a, [u8]>, TraceError> + Sync + 'a> {
-        Replay {
+    /// The replay driver over this in-memory trace, after checking its
+    /// index against the blob store (the fields are public, so a
+    /// hand-built trace is checked exactly like a loaded one).
+    pub(crate) fn driver(&self) -> Result<Replay<'_>, TraceError> {
+        chunk::validate_index(
+            &self.chunks,
+            self.info.routines.len() as u32,
+            self.events.len() as u64,
+        )?;
+        Ok(Replay {
             info: &self.info,
             instr: self.instr.as_ref(),
-            chunks,
-            rows: move |k: usize| {
-                let c = &chunks[k];
-                self.events
-                    .get(c.start as usize..c.end as usize)
-                    .map(Cow::Borrowed)
-                    .ok_or(TraceError::Malformed("chunk range past end of stream"))
-            },
-        }
+            chunks: &self.chunks,
+            blobs: &self.events,
+        })
+    }
+
+    /// Replay the trace into `tool`: `on_attach`, every event in order,
+    /// then `on_fini`. The tool's `instrument_ins` is never called —
+    /// recording already applied the standard all-events instrumentation,
+    /// so replay delivers a superset of what any instrumentation mask
+    /// would have selected; event-driven tools behave identically.
+    ///
+    /// If the tool requests ticks, they are synthesised whenever the
+    /// virtual clock passes a multiple of the interval; the tick's `ip`
+    /// and `rtn` are those of the most recent event (live ticks carry the
+    /// *current* instruction — exact for event-dense code, approximate
+    /// across long event-free stretches).
+    pub fn replay(&self, tool: &mut dyn Tool) -> Result<(), TraceError> {
+        self.driver()?.sequential(tool)
+    }
+
+    /// Data-parallel replay: split the chunk list into `n_jobs` contiguous
+    /// runs, fork one worker per run via [`MergeTool::fork`], replay the
+    /// runs concurrently on scoped threads, then [`MergeTool::absorb`] the
+    /// workers back into `tool` in chunk order. The result is
+    /// byte-identical to [`Trace::replay`] for the same tool — that
+    /// equivalence is enforced by the determinism tests and the
+    /// `verify.sh` smoke check. At most one shard per chunk; `n_jobs <= 1`
+    /// degrades to plain sequential replay.
+    pub fn replay_sharded(
+        &self,
+        tool: &mut dyn MergeTool,
+        n_jobs: usize,
+    ) -> Result<(), TraceError> {
+        self.driver()?.sharded(tool, n_jobs)
     }
 
     /// Open a capture file for streaming replay without decoding its event
@@ -177,163 +227,89 @@ impl Trace {
     }
 }
 
-/// A trace opened for lazy chunk-at-a-time reading. Holds the encoded
-/// file bytes plus the chunk index; never the decoded event stream.
-pub struct StreamingTrace {
-    info: ProgramInfo,
-    n_events: u64,
-    chunks: Vec<ChunkMeta>,
-    data: Vec<u8>,
-    /// Byte range of each chunk's columnar blob inside `data`.
-    blobs: Vec<Range<usize>>,
-    /// Byte range of the raw bytes past the last chunk inside `data`.
-    tail: Range<usize>,
-    instr: Option<InstrInfo>,
-}
+/// A capture opened for replay: the header and chunk index parsed, the
+/// blob store moved out of the file image in place, nothing decoded.
+/// Replays decode one chunk at a time per thread, so the steady-state
+/// footprint is the blob store plus one chunk's columns per shard. A thin
+/// wrapper over the [`Trace`] that [`Trace::load`] returns: the same
+/// driver replays both.
+pub struct StreamingTrace(Trace);
 
 impl StreamingTrace {
     /// Build a streaming reader over an in-memory capture image (the
     /// byte-for-byte content of a capture file). Validates the layout —
-    /// magic, chunk index, blob and tail bounds, total stream length — but
-    /// decodes no chunk.
-    pub fn from_bytes(data: Vec<u8>) -> Result<StreamingTrace, TraceError> {
+    /// magic, chunk index, blob-store bounds, optional `TQIM` tail and
+    /// nothing after it — but decodes no chunk.
+    pub fn from_bytes(mut data: Vec<u8>) -> Result<StreamingTrace, TraceError> {
         let h = crate::parse_header(&data)?;
-        // Cap the claimed stream length before trusting it with
-        // allocations — byte-run RLE cannot legitimately expand further.
-        if h.ev_len > data.len().saturating_mul(256) {
-            return Err(TraceError::Malformed("implausible event stream length"));
-        }
         let mut pos = h.pos;
         let chunks = chunk::read_index(&data, &mut pos)?;
-        chunk::validate_index(&chunks, h.info.routines.len() as u32, h.ev_len as u64)?;
-        if chunks.is_empty() {
-            return Err(TraceError::Malformed("empty chunk index"));
-        }
-        let mut at = 0u64;
-        let mut blobs = Vec::with_capacity(chunks.len());
-        for c in &chunks {
-            if c.start != at {
-                return Err(TraceError::Malformed("non-contiguous chunk index"));
-            }
-            at = c.end;
-            blobs.push(section(&data, &mut pos)?);
-        }
-        let tail = section(&data, &mut pos)?;
-        if at as usize + tail.len() != h.ev_len {
-            return Err(TraceError::Malformed("event stream length mismatch"));
-        }
+        chunk::validate_index(&chunks, h.info.routines.len() as u32, h.blob_len)?;
+        let blobs = usize::try_from(h.blob_len)
+            .ok()
+            .and_then(|len| pos.checked_add(len))
+            .filter(|&end| end <= data.len())
+            .map(|end| pos..end)
+            .ok_or(TraceError::Malformed("truncated capture"))?;
+        pos = blobs.end;
         let instr = crate::parse_instr_tail(&data, &mut pos)?;
-        Ok(StreamingTrace {
+        if pos != data.len() {
+            return Err(TraceError::Malformed("trailing bytes after capture"));
+        }
+        data.truncate(blobs.end);
+        data.drain(..blobs.start);
+        Ok(StreamingTrace(Trace {
             info: h.info,
+            events: data,
             n_events: h.n_events,
             chunks,
-            data,
-            blobs,
-            tail,
             instr,
-        })
+        }))
     }
 
-    /// Decode every chunk back into the row stream: the whole-trace form
-    /// [`Trace::load`] returns.
-    pub(crate) fn into_trace(self) -> Result<Trace, TraceError> {
-        let mut events = Vec::new();
-        for k in 0..self.chunks.len() {
-            events.extend_from_slice(&self.chunk_rows(k)?);
-        }
-        events.extend_from_slice(&self.data[self.tail.clone()]);
-        Ok(Trace {
-            info: self.info,
-            events,
-            n_events: self.n_events,
-            chunks: Some(self.chunks),
-            instr: self.instr,
-        })
+    /// The whole-trace form [`Trace::load`] returns.
+    pub(crate) fn into_trace(self) -> Trace {
+        self.0
     }
 
     /// Program facts (routine table, stack base, entry), as tools receive
     /// them at attach time.
     pub fn info(&self) -> &ProgramInfo {
-        &self.info
+        &self.0.info
     }
 
-    /// Number of events the capture header declares.
+    /// Number of records the capture header declares.
     pub fn n_events(&self) -> u64 {
-        self.n_events
+        self.0.n_events
     }
 
-    /// Number of chunks available for lazy reads.
+    /// Number of chunks.
     pub fn n_chunks(&self) -> usize {
-        self.chunks.len()
+        self.0.chunks.len()
     }
 
-    /// Encoded size of the resident capture image in bytes — the reader's
-    /// whole steady-state footprint besides one decoded chunk per shard.
+    /// Size of the resident blob store in bytes — the reader's whole
+    /// steady-state footprint besides the chunk index and one decoded
+    /// chunk per shard.
     pub fn resident_bytes(&self) -> usize {
-        self.data.len()
+        self.0.events.len()
     }
 
-    /// Decode chunk `k`'s columnar blob back into its row bytes.
-    pub fn chunk_rows(&self, k: usize) -> Result<Vec<u8>, TraceError> {
-        let (c, blob) = self
-            .chunks
-            .get(k)
-            .zip(self.blobs.get(k))
-            .ok_or(TraceError::Malformed("chunk out of range"))?;
-        crate::obs::streamed_chunks().inc();
-        let span = (c.end - c.start) as usize;
-        let rows = columnar::decode_chunk(&self.data[blob.clone()], &c.ctx, span)?;
-        if rows.len() != span {
-            return Err(TraceError::Malformed("chunk decoded to wrong length"));
-        }
-        Ok(rows)
-    }
-
-    fn driver<'a>(
-        &'a self,
-    ) -> Replay<'a, impl Fn(usize) -> Result<Cow<'a, [u8]>, TraceError> + Sync + 'a> {
-        Replay {
-            info: &self.info,
-            instr: self.instr.as_ref(),
-            chunks: &self.chunks,
-            rows: |k: usize| self.chunk_rows(k).map(Cow::Owned),
-        }
-    }
-
-    /// Sequential replay through the lazy reader: identical tool-visible
-    /// semantics to [`Trace::replay`], but only one chunk's decoded rows
-    /// are ever resident.
+    /// Sequential replay through the lazy reader: [`Trace::replay`].
     pub fn replay(&self, tool: &mut dyn Tool) -> Result<(), TraceError> {
         crate::obs::streaming_replays().inc();
-        self.driver().sequential(tool)
+        self.0.replay(tool)
     }
 
-    /// Sharded replay through the lazy reader: the same driver as
-    /// [`Trace::replay_sharded`] (fork, replay, absorb in chunk order —
-    /// byte-identical output) over at most `n_chunks` shards, each decoding
-    /// its chunk run one chunk at a time, so peak decoded memory is
-    /// `n_jobs × chunk_size` rather than the whole stream.
+    /// Sharded replay through the lazy reader: [`Trace::replay_sharded`]
+    /// (fork, replay, absorb in chunk order — byte-identical output) over
+    /// at most `n_chunks` shards.
     pub fn replay_sharded(
         &self,
         tool: &mut dyn MergeTool,
         n_jobs: usize,
     ) -> Result<(), TraceError> {
         crate::obs::streaming_replays().inc();
-        self.driver().sharded(tool, n_jobs)
+        self.0.replay_sharded(tool, n_jobs)
     }
-}
-
-/// Read a varint length followed by that many bytes at `pos`: the bytes'
-/// range in `data`, with `pos` moved past them.
-fn section(data: &[u8], pos: &mut usize) -> Result<Range<usize>, TraceError> {
-    let trunc = TraceError::Malformed("truncated capture");
-    let len = read_u64(data, pos).ok_or(trunc)?;
-    let end = usize::try_from(len)
-        .ok()
-        .and_then(|len| pos.checked_add(len))
-        .filter(|&end| end <= data.len())
-        .ok_or(trunc)?;
-    let range = *pos..end;
-    *pos = end;
-    Ok(range)
 }

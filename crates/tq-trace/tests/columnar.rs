@@ -1,156 +1,28 @@
-//! TQTRACE3 property net: the columnar codec must be a *byte-exact*
-//! inverse of the row encoding (same rows, same digest), the
-//! streaming reader must reproduce in-memory replay bit-for-bit with only
-//! one chunk decoded at a time, and corrupt or truncated v3 images must
-//! come back as `Err`s, never panics. Mirrors `sharded_replay.rs`: seeded
-//! random traces as the property net, wfs capture as the acceptance path.
+//! TQTRACE4 property net: captures save and load back equal (same blob
+//! store, same digest), the streaming reader reproduces in-memory replay
+//! bit-for-bit, corrupt, truncated or hand-built captures come back as
+//! `Err`s — never panics — through every replay surface and tool, and the
+//! decoder rejects clocks that stand at 0, wrap, or run backwards across
+//! chunks. Mirrors `sharded_replay.rs`: seeded random traces as the
+//! property net, wfs capture as the acceptance path.
 
+mod common;
+
+use common::{random_run, synthetic_info};
 use tq_gprof::{GprofOptions, GprofTool};
 use tq_isa::prng::Rng;
 use tq_isa::RoutineId;
 use tq_quad::{QuadOptions, QuadTool};
 use tq_tquad::{TquadOptions, TquadTool};
-use tq_trace::{StreamingTrace, Trace, TraceError, TraceRecorder, DEFAULT_CHUNKS};
-use tq_vm::{Event, ProgramInfo, RoutineMeta, Tool};
+use tq_trace::{StreamingTrace, Trace, TraceError, TraceRecorder};
+use tq_vm::{Event, Tool};
 
-/// Same program shape as `sharded_replay.rs`: two main-image routines and
-/// two library routines, so both stack-tracking variants get exercised.
-fn synthetic_info() -> ProgramInfo {
-    let mk = |id: u32, name: &str, main: bool, base: u64| RoutineMeta {
-        id: RoutineId(id),
-        name: name.into(),
-        image: if main { "app" } else { "libc" }.into(),
-        main_image: main,
-        start: base,
-        end: base + 0x100,
-    };
-    ProgramInfo {
-        routines: vec![
-            mk(0, "main", true, 0x10000),
-            mk(1, "kernel_a", true, 0x11000),
-            mk(2, "memcpy", false, 0x20000),
-            mk(3, "malloc", false, 0x21000),
-        ],
-        stack_base: 0x3FFF_FF00,
-        entry: 0x10000,
-    }
-}
+/// Chunk length for the synthetic traces: a 1 200-event trace gets 8
+/// chunks, so every sharded path really shards.
+const CHUNK: u64 = 160;
 
-/// Seeded-random but structurally plausible event stream: balanced
-/// calls/returns around a shadow stack, heap- and stack-addressed
-/// reads/writes, forward-only virtual clock.
 fn random_trace(seed: u64, n_events: usize) -> Trace {
-    let info = synthetic_info();
-    let mut rng = Rng::new(seed);
-    let mut rec = TraceRecorder::new();
-    rec.on_attach(&info);
-
-    let mut icount = 0u64;
-    let mut stack: Vec<(RoutineId, u64)> = vec![(RoutineId(0), info.stack_base)];
-    for _ in 0..n_events {
-        icount += rng.u64_in(1, 9);
-        let (rtn, sp) = *stack.last().unwrap();
-        let ip = info.routines[rtn.idx()].start + 8 * rng.u64_in(0, 30);
-        match rng.index(10) {
-            0 | 1 if stack.len() < 12 => {
-                let callee = RoutineId(rng.index(4) as u32);
-                rec.on_event(&Event::Call {
-                    ip,
-                    callee,
-                    icount,
-                    rtn,
-                });
-                icount += 1;
-                let new_sp = sp - rng.u64_in(16, 64);
-                stack.push((callee, new_sp));
-                rec.on_event(&Event::RoutineEnter {
-                    rtn: callee,
-                    sp: new_sp,
-                    icount,
-                });
-            }
-            2 if stack.len() > 1 => {
-                stack.pop();
-                let (back_rtn, _) = *stack.last().unwrap();
-                rec.on_event(&Event::Ret {
-                    ip,
-                    return_to: info.routines[back_rtn.idx()].start + 16,
-                    icount,
-                    rtn,
-                });
-            }
-            3 | 4 | 5 => {
-                let ea = if rng.index(4) == 0 {
-                    sp - rng.u64_in(0, 128)
-                } else {
-                    0x1000_0000 + rng.u64_in(0, 4096)
-                };
-                rec.on_event(&Event::MemRead {
-                    ip,
-                    ea,
-                    size: 1 << rng.index(4),
-                    sp,
-                    is_prefetch: rng.index(8) == 0,
-                    icount,
-                    rtn,
-                });
-            }
-            _ => {
-                let ea = if rng.index(4) == 0 {
-                    sp - rng.u64_in(0, 128)
-                } else {
-                    0x1000_0000 + rng.u64_in(0, 4096)
-                };
-                rec.on_event(&Event::MemWrite {
-                    ip,
-                    ea,
-                    size: 1 << rng.index(4),
-                    sp,
-                    icount,
-                    rtn,
-                });
-            }
-        }
-    }
-    rec.on_fini(icount + 1);
-    rec.into_trace()
-}
-
-/// A kernel-shaped trace: stride-64 array scans from a tight loop — the
-/// access pattern the paper's workloads actually produce, and the one the
-/// columnar deltas + byte-run compressor are built to win on.
-fn strided_trace(n_iters: usize) -> Trace {
-    let info = synthetic_info();
-    let mut rec = TraceRecorder::new();
-    rec.on_attach(&info);
-    let rtn = RoutineId(1);
-    let (src, dst) = (0x1000_0000u64, 0x2000_0000u64);
-    let sp = info.stack_base - 64;
-    let mut icount = 1u64;
-    rec.on_event(&Event::RoutineEnter { rtn, sp, icount });
-    for i in 0..n_iters as u64 {
-        icount += 4;
-        rec.on_event(&Event::MemRead {
-            ip: 0x11008,
-            ea: src + 64 * i,
-            size: 8,
-            sp,
-            is_prefetch: false,
-            icount,
-            rtn,
-        });
-        icount += 2;
-        rec.on_event(&Event::MemWrite {
-            ip: 0x11010,
-            ea: dst + 64 * i,
-            size: 8,
-            sp,
-            icount,
-            rtn,
-        });
-    }
-    rec.on_fini(icount + 1);
-    rec.into_trace()
+    random_run(seed, n_events).record(CHUNK)
 }
 
 fn save_bytes(trace: &Trace) -> Vec<u8> {
@@ -162,46 +34,14 @@ fn save_bytes(trace: &Trace) -> Vec<u8> {
 #[test]
 fn v3_save_load_roundtrips_bit_exactly() {
     for seed in 0..4u64 {
-        let trace = random_trace(0x3C01 ^ seed, 1_200)
-            .with_chunk_index(8)
-            .expect("chunk index");
+        let trace = random_trace(0x3C01 ^ seed, 1_200);
+        assert!(trace.chunks.len() >= 8, "seed {seed}: too few chunks");
         let bytes = save_bytes(&trace);
-        assert_eq!(&bytes[..8], b"TQTRACE3", "seed {seed}");
+        assert_eq!(&bytes[..8], b"TQTRACE4", "seed {seed}");
         let reloaded = Trace::load(&mut bytes.as_slice()).expect("reload");
-        assert_eq!(trace, reloaded, "seed {seed}: v3 roundtrip not byte-exact");
+        assert_eq!(trace, reloaded, "seed {seed}: v3 roundtrip not exact");
         assert_eq!(trace.digest(), reloaded.digest(), "seed {seed}");
     }
-}
-
-#[test]
-fn v3_wins_on_strided_captures() {
-    // The verify.sh gate asserts ≤ 0.7× the row stream on the wfs smoke
-    // capture; the synthetic kernel-shaped trace pins the same bound
-    // in-tree.
-    let trace = strided_trace(3_000)
-        .with_chunk_index(8)
-        .expect("chunk index");
-    let v3 = save_bytes(&trace);
-    assert_eq!(&v3[..8], b"TQTRACE3");
-    assert!(
-        (v3.len() as f64) <= 0.7 * (trace.events.len() as f64),
-        "v3 {} bytes vs {} row-stream bytes — compression regressed",
-        v3.len(),
-        trace.events.len()
-    );
-    // And random traces — the codec's worst case — must still roundtrip
-    // without ballooning past the row encoding by more than the per-chunk
-    // framing overhead.
-    let rnd = random_trace(0x5123, 2_000)
-        .with_chunk_index(8)
-        .expect("index");
-    let rv3 = save_bytes(&rnd);
-    assert!(
-        rv3.len() <= rnd.events.len() + 64 * 8,
-        "v3 {} bytes vs {} row-stream bytes on incompressible input",
-        rv3.len(),
-        rnd.events.len()
-    );
 }
 
 /// Push bytes through every v3 decode surface. Any outcome but a panic is
@@ -209,25 +49,50 @@ fn v3_wins_on_strided_captures() {
 /// the flip landed in dead space — succeed benignly.
 fn exercise_v3(bytes: &[u8]) {
     if let Ok(t) = Trace::load(&mut { bytes }) {
-        let mut tool = TquadTool::new(TquadOptions::default().with_interval(777));
-        let _ = t.replay(&mut tool);
+        let _ = exercise_trace(&t);
     }
     if let Ok(s) = StreamingTrace::from_bytes(bytes.to_vec()) {
-        for k in 0..s.n_chunks() {
-            let _ = s.chunk_rows(k);
-        }
         let mut tool = TquadTool::new(TquadOptions::default().with_interval(777));
         let _ = s.replay(&mut tool);
         let mut tool = QuadTool::new(QuadOptions::default());
         let _ = s.replay_sharded(&mut tool, 4);
+        let mut tool = GprofTool::new(gprof_opts());
+        let _ = s.replay(&mut tool);
+        let mut tool = GprofTool::new(gprof_opts());
+        let _ = s.replay_sharded(&mut tool, 2);
     }
+}
+
+fn gprof_opts() -> GprofOptions {
+    GprofOptions {
+        sample_interval: 500,
+        ..Default::default()
+    }
+}
+
+/// Replay an in-memory trace through every tool, sequentially and on 4
+/// shards, and digest it. Returns how many of the replays failed.
+fn exercise_trace(t: &Trace) -> usize {
+    let results = [
+        t.replay(&mut TquadTool::new(
+            TquadOptions::default().with_interval(777),
+        )),
+        t.replay_sharded(
+            &mut TquadTool::new(TquadOptions::default().with_interval(777)),
+            4,
+        ),
+        t.replay(&mut QuadTool::new(QuadOptions::default())),
+        t.replay_sharded(&mut QuadTool::new(QuadOptions::default()), 4),
+        t.replay(&mut GprofTool::new(gprof_opts())),
+        t.replay_sharded(&mut GprofTool::new(gprof_opts()), 4),
+    ];
+    let _ = t.digest();
+    results.iter().filter(|r| r.is_err()).count()
 }
 
 #[test]
 fn truncated_v3_errors_instead_of_panicking() {
-    let trace = random_trace(0x5EED3, 800)
-        .with_chunk_index(4)
-        .expect("chunk index");
+    let trace = random_trace(0x5EED3, 800);
     let bytes = save_bytes(&trace);
     let mut rng = Rng::new(0x7E573);
     for _ in 0..200 {
@@ -242,9 +107,7 @@ fn truncated_v3_errors_instead_of_panicking() {
 
 #[test]
 fn corrupted_v3_errors_instead_of_panicking() {
-    let trace = random_trace(0xD1CE3, 800)
-        .with_chunk_index(4)
-        .expect("chunk index");
+    let trace = random_trace(0xD1CE3, 800);
     let pristine = save_bytes(&trace);
     let mut rng = Rng::new(0xF00D3);
     for _ in 0..200 {
@@ -323,28 +186,22 @@ fn assert_streaming_matches(trace: &Trace, bytes: Vec<u8>, what: &str) {
 
 #[test]
 fn streaming_replay_matches_in_memory_for_all_formats() {
-    let trace = random_trace(0x57AE, 1_500)
-        .with_chunk_index(8)
-        .expect("chunk index");
+    let trace = random_trace(0x57AE, 1_500);
     assert_streaming_matches(&trace, save_bytes(&trace), "v3");
 }
 
 #[test]
 fn wfs_capture_streams_exactly() {
     // Acceptance path: a real application capture through the whole
-    // pipeline — record, index, columnar-encode, stream back.
+    // pipeline — record into columns, save, stream back.
     let app = tq_wfs::WfsApp::build(tq_wfs::WfsConfig::tiny());
     let mut vm = app.make_vm();
     let h = vm.attach_tool(Box::new(TraceRecorder::new()));
     vm.run(None).expect("wfs runs");
-    let trace = vm
-        .detach_tool::<TraceRecorder>(h)
-        .unwrap()
-        .into_trace()
-        .with_chunk_index(8)
-        .expect("chunk index");
+    let trace = vm.detach_tool::<TraceRecorder>(h).unwrap().into_trace();
+    assert!(trace.chunks.len() > 4, "wfs tiny must span several chunks");
     let bytes = save_bytes(&trace);
-    assert_eq!(&bytes[..8], b"TQTRACE3");
+    assert_eq!(&bytes[..8], b"TQTRACE4");
     assert_eq!(
         Trace::load(&mut bytes.as_slice()).expect("reload").digest(),
         trace.digest()
@@ -354,53 +211,29 @@ fn wfs_capture_streams_exactly() {
 
 #[test]
 fn streaming_decodes_one_chunk_at_a_time() {
-    // The bounded-memory contract: every lazy chunk read is strictly
-    // smaller than the full row stream, and stitching all chunk reads
-    // back together reproduces it exactly.
-    let trace = random_trace(0xB0B0, 2_000)
-        .with_chunk_index(8)
-        .expect("chunk index");
-    let bytes = save_bytes(&trace);
-    let stream = StreamingTrace::from_bytes(bytes).expect("open streaming");
-    assert_eq!(stream.n_chunks(), 8);
-    let mut stitched = Vec::new();
-    let mut largest = 0usize;
-    for k in 0..stream.n_chunks() {
-        let rows = stream.chunk_rows(k).expect("chunk decode");
-        largest = largest.max(rows.len());
-        stitched.extend_from_slice(&rows);
-    }
-    assert_eq!(stitched, trace.events, "stitched chunks != row stream");
+    // The bounded-memory contract: the reader keeps only the blob store
+    // resident — no blob is decoded at open — and each replay thread
+    // decodes one chunk's blob at a time, every one of which is a small
+    // fraction of the store.
+    let trace = random_trace(0xB0B0, 2_000);
+    let stream = StreamingTrace::from_bytes(save_bytes(&trace)).expect("open streaming");
+    assert_eq!(stream.n_chunks(), trace.chunks.len());
+    assert!(stream.n_chunks() >= 8);
+    assert_eq!(stream.resident_bytes(), trace.events.len());
+    let largest = trace.chunks.iter().map(|c| c.end - c.start).max().unwrap();
     assert!(
-        largest < trace.events.len(),
-        "a single chunk read materialised the whole stream"
+        largest * 4 < trace.events.len() as u64,
+        "one chunk holds a quarter of the store"
     );
-    // The resident image is the *compressed* capture, smaller than the
-    // decoded rows it stands in for.
-    assert!(stream.resident_bytes() < trace.events.len() + 4096);
-}
-
-#[test]
-fn indexless_traces_save_with_the_default_index() {
-    let trace = random_trace(0xD0CC, 400);
-    assert!(trace.chunks.is_none());
-    let bytes = save_bytes(&trace);
-    assert_eq!(&bytes[..8], b"TQTRACE3");
-    let back = Trace::load(&mut bytes.as_slice()).expect("load");
-    let indexed = trace
-        .clone()
-        .with_chunk_index(DEFAULT_CHUNKS)
-        .expect("chunk index");
-    assert_eq!(back, indexed);
-    assert_eq!(back.digest(), trace.digest());
 }
 
 #[test]
 fn legacy_magics_are_bad_headers() {
-    // The row-stream TQTRACE1/TQTRACE2 layouts are retired: a file that
-    // carries either magic is not a capture, whatever follows it.
+    // The row-stream TQTRACE1/TQTRACE2 layouts and the length-prefixed
+    // TQTRACE3 blob layout are retired: a file that carries one of their
+    // magics is not a capture, whatever follows it.
     let v3 = save_bytes(&random_trace(0x01D, 200));
-    for magic in [b"TQTRACE1", b"TQTRACE2"] {
+    for magic in [b"TQTRACE1", b"TQTRACE2", b"TQTRACE3"] {
         let mut legacy = v3.clone();
         legacy[..8].copy_from_slice(magic);
         assert_eq!(
@@ -415,29 +248,172 @@ fn legacy_magics_are_bad_headers() {
 }
 
 #[test]
-fn non_canonical_rows_fail_to_save_and_leave_no_file() {
-    // A RoutineEnter whose kind varint is padded to two bytes (0x84 0x00
-    // decodes as 4): it replays fine, but no columnar blob can reproduce
-    // those exact row bytes, so `save` must refuse rather than write a
-    // file that loads back different.
-    let mut trace = random_trace(0xC0DE, 50);
-    let mut events = vec![0x84, 0x00, 0x01, 0x00, 0x00];
-    events.extend_from_slice(&trace.events);
-    trace.events = events;
-    trace.n_events += 1;
-    let mut sink = Vec::new();
-    let err = trace.save(&mut sink).expect_err("non-canonical rows");
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    assert!(sink.is_empty(), "nothing written before the check fails");
+fn misdescribed_indexes_fail_to_save_and_leave_no_file() {
+    // The fields are public, so a hand-built trace can carry an index that
+    // does not describe its blob store: save must refuse rather than write
+    // a file that cannot load.
+    let good = random_trace(0xC0DE, 400);
+    let mut gap = good.clone();
+    gap.chunks[1].start += 1;
+    let mut short = good.clone();
+    short.events.push(0);
+    let mut empty = good.clone();
+    empty.chunks.clear();
+    for (what, trace) in [("gap", gap), ("short", short), ("empty", empty)] {
+        let mut sink = Vec::new();
+        let err = trace.save(&mut sink).expect_err(what);
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}");
+        assert!(sink.is_empty(), "{what}: nothing written before the check");
 
-    let dir = std::env::temp_dir().join(format!("tq-trace-noncanon-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("t.capture");
-    assert!(trace.save_to_path(&path).is_err());
-    assert!(!path.exists(), "no target on a failed save");
-    assert!(
-        !path.with_extension("tmp").exists(),
-        "no temp file on a failed save"
+        let dir = std::env::temp_dir().join(format!("tq-trace-badidx-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.capture");
+        assert!(trace.save_to_path(&path).is_err(), "{what}");
+        assert!(!path.exists(), "{what}: no target on a failed save");
+        assert!(
+            !path.with_extension("tmp").exists(),
+            "{what}: no temp file on a failed save"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(trace
+            .replay(&mut QuadTool::new(QuadOptions::default()))
+            .is_err());
+    }
+}
+
+#[test]
+fn garbage_blobs_under_a_valid_index_error_instead_of_panicking() {
+    // A hand-built trace keeps a valid index over a blob store of garbage:
+    // every tool, sequential or sharded, must get `Err` back.
+    let trace = random_trace(0x6A4B, 800);
+    let len = trace.events.len();
+    let mut rng = Rng::new(0x6A4B);
+    let fills: Vec<Vec<u8>> = vec![
+        vec![0; len],
+        vec![0xFF; len],
+        vec![0x01; len],
+        (0..len).map(|_| rng.next_u64() as u8).collect(),
+        (0..len).map(|_| rng.next_u64() as u8 & 0x7F).collect(),
+    ];
+    for (i, events) in fills.into_iter().enumerate() {
+        let garbage = Trace {
+            events,
+            ..trace.clone()
+        };
+        assert_eq!(exercise_trace(&garbage), 6, "fill {i}: a replay succeeded");
+    }
+    assert_eq!(exercise_trace(&trace), 0, "the pristine trace replays");
+}
+
+/// Record `events` (then `Fini` at `fini`) through the column recorder.
+fn record_events(events: &[Event], fini: u64, chunk: u64) -> Trace {
+    let mut rec = TraceRecorder::with_chunk_events(chunk);
+    common::rows::feed(&mut rec, &synthetic_info(), events, fini);
+    rec.into_trace()
+}
+
+fn read_at(icount: u64) -> Event {
+    Event::MemRead {
+        ip: 0x11008,
+        ea: 0x1000_0000,
+        size: 8,
+        sp: 0x3FFF_FE00,
+        is_prefetch: false,
+        icount,
+        rtn: RoutineId(1),
+    }
+}
+
+/// tQUAD slices by `icount - 1` and requires slices in order: every
+/// surface must reject the bad clock before the tool sees it.
+fn assert_clock_rejected(trace: &Trace, want: &str) {
+    let tquad = || TquadTool::new(TquadOptions::default().with_interval(10));
+    let err = Err(TraceError::Malformed(match want {
+        "zero" => "record at icount 0",
+        "wrap" => "clock overflows",
+        _ => "chunk clock runs backwards",
+    }));
+    assert_eq!(trace.replay(&mut tquad()), err, "{want}: sequential");
+    for jobs in [2, 4] {
+        assert_eq!(
+            trace.replay_sharded(&mut tquad(), jobs),
+            err,
+            "{want}: {jobs} shards"
+        );
+    }
+    let stream = StreamingTrace::from_bytes(save_bytes(trace)).expect("saves and opens");
+    assert_eq!(stream.replay(&mut tquad()), err, "{want}: streaming");
+    assert_eq!(
+        stream.replay_sharded(&mut tquad(), 4),
+        err,
+        "{want}: streaming sharded"
     );
-    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn an_event_at_icount_zero_is_malformed() {
+    let events: Vec<Event> = [0, 1, 2, 3].into_iter().map(read_at).collect();
+    assert_clock_rejected(&record_events(&events, 9, 1), "zero");
+    // A Fini at 0 is the same clock error.
+    let fini_only = record_events(&[], 0, 1);
+    assert_eq!(
+        fini_only.replay(&mut TquadTool::new(TquadOptions::default())),
+        Err(TraceError::Malformed("record at icount 0"))
+    );
+}
+
+#[test]
+fn a_clock_that_wraps_is_malformed() {
+    // 5 then 3: the recorder stores Δ = 3 − 5 mod 2^64, and the decoder's
+    // checked add overflows instead of wrapping back to 3.
+    let events: Vec<Event> = [1, 2, 5, 3, 6].into_iter().map(read_at).collect();
+    assert_clock_rejected(&record_events(&events, 9, 3), "wrap");
+    // The largest possible Δ from clock 1 wraps too.
+    let events = [read_at(1), read_at(u64::MAX), read_at(0)];
+    assert_clock_rejected(&record_events(&events, u64::MAX, 3), "wrap");
+}
+
+#[test]
+fn a_chunk_clock_below_the_previous_chunk_is_malformed() {
+    // Four one-event chunks at clocks 10, 20, 30, 40 (+ Fini). Lowering a
+    // snapshot clock below the previous chunk's last record is caught by
+    // the sequential driver loop and, on shards, before the run's worker
+    // is absorbed.
+    let events: Vec<Event> = [10, 20, 30, 40].into_iter().map(read_at).collect();
+    let good = record_events(&events, 50, 1);
+    assert_eq!(good.chunks.len(), 5);
+    assert_eq!(exercise_trace(&good), 0);
+    for k in [1, 2, 3] {
+        let mut bad = good.clone();
+        bad.chunks[k].ctx.icount -= 1;
+        assert_clock_rejected(&bad, "backwards");
+    }
+    // Equal to the previous last record is the normal case.
+    assert_eq!(good.chunks[2].ctx.icount, 20);
+}
+
+#[test]
+fn records_after_fini_are_malformed() {
+    let events = [read_at(1), read_at(2)];
+    let mut rec = TraceRecorder::with_chunk_events(2);
+    common::rows::feed(&mut rec, &synthetic_info(), &events, 3);
+    rec.on_event(&read_at(4)); // past the end of the run
+    let trace = rec.into_trace();
+    let err = Err(TraceError::Malformed("records after Fini"));
+    assert_eq!(
+        trace.replay(&mut QuadTool::new(QuadOptions::default())),
+        err
+    );
+    assert_eq!(
+        trace.replay_sharded(&mut QuadTool::new(QuadOptions::default()), 2),
+        err
+    );
+    let mut rec = TraceRecorder::with_chunk_events(8);
+    common::rows::feed(&mut rec, &synthetic_info(), &events, 3);
+    rec.on_event(&read_at(4)); // same chunk as the Fini
+    let trace = rec.into_trace();
+    assert_eq!(
+        trace.replay(&mut QuadTool::new(QuadOptions::default())),
+        err
+    );
 }

@@ -24,7 +24,8 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// A small seeded trace with enough events to give every shard work.
+/// A small seeded trace with enough events and chunks (one per 500
+/// records) to give every shard work.
 fn synthetic_trace(seed: u64, n_events: usize) -> Trace {
     let mk = |id: u32, name: &str, base: u64| RoutineMeta {
         id: RoutineId(id),
@@ -40,7 +41,7 @@ fn synthetic_trace(seed: u64, n_events: usize) -> Trace {
         entry: 0x10000,
     };
     let mut rng = Rng::new(seed);
-    let mut rec = TraceRecorder::new();
+    let mut rec = TraceRecorder::with_chunk_events(500);
     rec.on_attach(&info);
     let mut icount = 0u64;
     for _ in 0..n_events {

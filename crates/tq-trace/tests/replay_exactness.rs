@@ -4,7 +4,7 @@
 
 use tq_quad::{QuadOptions, QuadTool};
 use tq_tquad::{PhaseDetector, TquadOptions, TquadTool};
-use tq_trace::{Trace, TraceRecorder, DEFAULT_CHUNKS};
+use tq_trace::{Trace, TraceRecorder};
 use tq_wfs::{WfsApp, WfsConfig};
 
 fn record(app: &WfsApp) -> (Trace, tq_tquad::TquadProfile, tq_quad::QuadProfile) {
@@ -124,14 +124,11 @@ fn trace_is_compact_and_persistable() {
     let (trace, _, _) = record(&app);
     assert!(
         trace.bytes_per_event() < 10.0,
-        "delta encoding should stay small: {:.1} B/event over {} events",
+        "column encoding should stay small: {:.1} B/event over {} events",
         trace.bytes_per_event(),
         trace.n_events
     );
 
-    // A saved capture always carries a chunk index (`save` builds the
-    // default one), so compare against the indexed form.
-    let trace = trace.with_chunk_index(DEFAULT_CHUNKS).unwrap();
     let mut bytes = Vec::new();
     trace.save(&mut bytes).unwrap();
     let back = Trace::load(&mut bytes.as_slice()).unwrap();

@@ -48,13 +48,13 @@ fn access_size(rng: &mut Rng) -> u32 {
 }
 
 /// Feed a seeded-random but structurally plausible event stream through
-/// the recorder: calls and returns stay balanced around a real shadow
-/// stack, reads/writes hit a mix of heap and stack addresses, and the
-/// virtual clock only moves forward.
-fn random_trace(seed: u64, n_events: usize) -> Trace {
+/// the recorder, closing a chunk every `chunk` records: calls and returns
+/// stay balanced around a real shadow stack, reads/writes hit a mix of
+/// heap and stack addresses, and the virtual clock only moves forward.
+fn random_trace(seed: u64, n_events: usize, chunk: u64) -> Trace {
     let info = synthetic_info();
     let mut rng = Rng::new(seed);
-    let mut rec = TraceRecorder::new();
+    let mut rec = TraceRecorder::with_chunk_events(chunk);
     rec.on_attach(&info);
 
     let mut icount = 0u64;
@@ -208,18 +208,21 @@ fn assert_all_tools_shard_exactly(trace: &Trace, shard_counts: &[usize], what: &
 #[test]
 fn random_traces_shard_exactly() {
     for seed in 0..6u64 {
-        let trace = random_trace(0xC0FFEE ^ seed, 1_500);
+        let trace = random_trace(0xC0FFEE ^ seed, 1_500, 200);
+        assert!(
+            trace.chunks.len() >= 7,
+            "seed {seed}: too few chunks to shard"
+        );
         assert_all_tools_shard_exactly(&trace, &[2, 3, 4, 7], &format!("seed {seed}"));
     }
 }
 
 #[test]
 fn coarsened_embedded_index_shards_exactly() {
-    // A fine index embedded at capture time serves any smaller job count
-    // by grouping adjacent chunks — same determinism contract.
-    let trace = random_trace(0xBEEF, 2_000)
-        .with_chunk_index(16)
-        .expect("chunk index");
+    // A fine index built at capture time serves any smaller job count by
+    // grouping adjacent chunks — same determinism contract.
+    let trace = random_trace(0xBEEF, 2_000, 100);
+    assert!(trace.chunks.len() >= 16);
     assert_all_tools_shard_exactly(&trace, &[2, 5, 16], "coarsened index");
 }
 
@@ -227,9 +230,7 @@ fn coarsened_embedded_index_shards_exactly() {
 fn split_merge_roundtrips_through_save_load() {
     // The sharded contract survives serialisation: a capture file loaded
     // back shards exactly like the in-memory trace it was saved from.
-    let trace = random_trace(0xABCD, 1_000)
-        .with_chunk_index(8)
-        .expect("chunk index");
+    let trace = random_trace(0xABCD, 1_000, 150);
     let mut bytes = Vec::new();
     trace.save(&mut bytes).expect("save");
     let reloaded = Trace::load(&mut bytes.as_slice()).expect("reload");
@@ -259,9 +260,7 @@ fn imgproc_capture_shards_exactly() {
 
 #[test]
 fn truncated_streams_error_instead_of_panicking() {
-    let trace = random_trace(0x5EED, 800)
-        .with_chunk_index(4)
-        .expect("chunk index");
+    let trace = random_trace(0x5EED, 800, 250);
     let mut bytes = Vec::new();
     trace.save(&mut bytes).expect("save");
     let mut rng = Rng::new(0x7E57);
@@ -279,9 +278,7 @@ fn truncated_streams_error_instead_of_panicking() {
 
 #[test]
 fn corrupted_streams_error_instead_of_panicking() {
-    let trace = random_trace(0xD1CE, 800)
-        .with_chunk_index(4)
-        .expect("chunk index");
+    let trace = random_trace(0xD1CE, 800, 250);
     let mut pristine = Vec::new();
     trace.save(&mut pristine).expect("save");
     let mut rng = Rng::new(0xF00D);
@@ -304,7 +301,6 @@ fn exercise_loaded(bytes: &[u8]) {
     };
     let mut tool = TquadTool::new(TquadOptions::default().with_interval(777));
     let _ = t.replay(&mut tool);
-    let _ = t.chunk_index(3);
     let mut tool = QuadTool::new(QuadOptions::default());
     let _ = t.replay_sharded(&mut tool, 4);
 }

@@ -46,15 +46,19 @@ if ./target/release/tq tquad --app img --scale tiny --interval 0 > /dev/null 2>&
     echo "verify: FAIL (--interval 0 must be rejected)"; exit 1
 fi
 
-echo "==> TQTRACE3 smoke: capture <= 0.7x its row stream, live profiles == capture replays"
+echo "==> TQTRACE4 smoke: capture <= 5.7 B/event, live profiles == capture replays"
+# The <= 0.7x-the-row-stream check against the reference row codec lives
+# in crates/tq-trace/tests/row_oracle.rs.
 ./target/release/tq capture --app wfs --scale tiny \
     --out "$smoke_dir/cap.v3" > "$smoke_dir/capture.out"
-row_bytes=$(sed -n 's/.* events, \([0-9]*\) row bytes, .*/\1/p' "$smoke_dir/capture.out")
-[ -n "$row_bytes" ] \
-    || { echo "verify: FAIL (capture summary lacks the row-stream byte count)"; exit 1; }
-v3_bytes=$(wc -c < "$smoke_dir/cap.v3")
-[ "$((v3_bytes * 10))" -le "$((row_bytes * 7))" ] \
-    || { echo "verify: FAIL (v3 capture $v3_bytes bytes > 0.7x row stream $row_bytes bytes)"; exit 1; }
+n_events=$(sed -n 's/.*: \([0-9]*\) events, [0-9]* bytes (.*/\1/p' "$smoke_dir/capture.out")
+cap_bytes=$(sed -n 's/.* events, \([0-9]*\) bytes (.*/\1/p' "$smoke_dir/capture.out")
+[ -n "$n_events" ] && [ -n "$cap_bytes" ] \
+    || { echo "verify: FAIL (capture summary lacks the event or byte count)"; exit 1; }
+[ "$(wc -c < "$smoke_dir/cap.v3")" -eq "$cap_bytes" ] \
+    || { echo "verify: FAIL (capture summary byte count disagrees with the file)"; exit 1; }
+[ "$((cap_bytes * 10))" -le "$((n_events * 57))" ] \
+    || { echo "verify: FAIL (v3 capture $cap_bytes bytes > 5.7 B/event over $n_events events)"; exit 1; }
 # gprof's live ticks carry the current instruction, replayed ticks the
 # last event's (see `Trace::replay`), so its reference is a fresh recording
 # replayed in memory (--jobs 2), not the live run; tquad and quad are
