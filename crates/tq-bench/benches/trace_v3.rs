@@ -1,4 +1,4 @@
-//! Bench: the TQTRACE4 capture format — encoded size against the row
+//! Bench: the TQTRACE5 capture format — encoded size against the row
 //! stream of the reference model (`tq-trace/tests/common/rows.rs`, the
 //! delta+varint codec captures used before events were recorded into
 //! columns), the largest chunk a streaming replay decodes at once, and

@@ -26,10 +26,6 @@ fn main() {
     // 6.4 G-instruction run, scaled to ours (≈ 1.27 M slices either way).
     let (_, bare) = app.run_bare().expect("bare run for sizing");
     let interval = ((bare.icount as f64 * 5000.0 / 6.4e9) as u64).max(16);
-    println!(
-        "slice interval = {interval} instructions ≈ paper's 5000 on 6.4e9 ({} slices)\n",
-        bare.icount / interval
-    );
 
     let mut vm = app.make_vm();
     let h = vm.attach_tool(Box::new(TquadTool::new(
@@ -37,6 +33,12 @@ fn main() {
     )));
     vm.run(None).expect("wfs runs under tQUAD");
     let profile = vm.detach_tool::<TquadTool>(h).unwrap().into_profile();
+    // The slice count the phase table's title prints too: the last,
+    // partial slice counts.
+    println!(
+        "slice interval = {interval} instructions ≈ paper's 5000 on 6.4e9 ({} slices)\n",
+        profile.n_slices()
+    );
 
     let phases = PhaseDetector::default().detect(&profile);
     println!("{} phases identified (paper: 5)\n", phases.len());

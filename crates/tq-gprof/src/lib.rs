@@ -4,10 +4,11 @@
 //! function, the percentage of execution time, self seconds, call count and
 //! ms/call, obtained by sampling the instruction pointer every 10 ms and
 //! counting function entries. This crate reproduces that estimator on the
-//! VM: the IP is sampled at a fixed *virtual-time* interval (instructions),
-//! function entries are counted from routine-entry events, and cumulative
-//! (function + descendants) time is attributed through a call stack — which
-//! is how `total ms/call` is obtained. A [`TimeModel`] (CPI × clock)
+//! VM: the routine of the executing instruction is sampled at a fixed
+//! *virtual-time* interval (instructions), function entries are counted
+//! from routine-entry events, and cumulative (function + descendants) time
+//! is attributed through a call stack — which is how `total ms/call` is
+//! obtained. A [`TimeModel`] (CPI × clock)
 //! converts instruction counts to seconds, exactly the conversion the paper
 //! describes for turning tQUAD's platform-independent timings into
 //! wall-clock estimates.
@@ -17,7 +18,7 @@ use tq_report::{f as fmt_f, Align, Table};
 use tq_tquad::CallStack;
 use tq_vm::{hooks, Event, HookMask, InsContext, MergeTool, ProgramInfo, ShardContext, Tool};
 
-/// Counter for IP samples taken — the sampling profiler's flush point.
+/// Counter for samples taken — the sampling profiler's flush point.
 fn samples_total() -> &'static tq_obs::Counter {
     use std::sync::OnceLock;
     static C: OnceLock<tq_obs::Counter> = OnceLock::new();
@@ -280,7 +281,7 @@ pub struct FlatRow {
     pub rtn: RoutineId,
     /// Function name.
     pub name: String,
-    /// Samples whose IP fell inside this function.
+    /// Samples taken while this function's code was executing.
     pub self_samples: u64,
     /// Samples with this function anywhere on the call stack.
     pub cum_samples: u64,
@@ -608,19 +609,15 @@ mod tests {
         for i in 0..3 {
             g.on_event(&Event::Tick {
                 icount: 100 * (i + 1),
-                ip: 0x10100,
                 rtn: RoutineId(1),
             });
         }
         g.on_event(&Event::Ret {
-            ip: 0x10180,
-            return_to: 0x10008,
             icount: 350,
             rtn: RoutineId(1),
         });
         g.on_event(&Event::Tick {
             icount: 400,
-            ip: 0x10008,
             rtn: RoutineId(0),
         });
 
@@ -651,7 +648,6 @@ mod tests {
         });
         g.on_event(&Event::Tick {
             icount: 100,
-            ip: 0x10200,
             rtn: RoutineId(2),
         });
         let p = g.into_profile();
@@ -670,13 +666,11 @@ mod tests {
         for _ in 0..5 {
             g.on_event(&Event::Tick {
                 icount: 0,
-                ip: 0x10100,
                 rtn: RoutineId(1),
             });
         }
         g.on_event(&Event::Tick {
             icount: 0,
-            ip: 0x10000,
             rtn: RoutineId(0),
         });
         let p = g.into_profile();
@@ -694,13 +688,11 @@ mod tests {
         for _ in 0..5 {
             g.on_event(&Event::Tick {
                 icount: 0,
-                ip: 0x10100,
                 rtn: RoutineId(1),
             });
         }
         g.on_event(&Event::Tick {
             icount: 0,
-            ip: 0x10000,
             rtn: RoutineId(0),
         });
         let mut p = g.into_profile();
@@ -740,7 +732,6 @@ mod tests {
         });
         g.on_event(&Event::Tick {
             icount: 10,
-            ip: 0x10100,
             rtn: RoutineId(1),
         });
         let p = g.into_profile();
@@ -789,8 +780,6 @@ mod call_graph_tests {
         };
         let ret = |g: &mut GprofTool, rtn: u32| {
             g.on_event(&Event::Ret {
-                ip: 0,
-                return_to: 0,
                 icount: 0,
                 rtn: RoutineId(rtn),
             });

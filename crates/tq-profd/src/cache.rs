@@ -322,7 +322,6 @@ mod tests {
         rec.on_attach(&info());
         for i in 0..n {
             rec.on_event(&Event::MemWrite {
-                ip: 0x10008,
                 ea: 0x1000_0000 + 8 * i,
                 size: 8,
                 sp: 0x3FFF_FE00,
@@ -462,7 +461,11 @@ mod tests {
         let store = CaptureStore::new(Some(dir.clone()), 1 << 20);
         // State dirs left behind by builds that wrote a retired layout:
         // right magic family, wrong version.
-        for (k, magic) in [("k2", b"TQTRACE2"), ("k3", b"TQTRACE3")] {
+        for (k, magic) in [
+            ("k2", b"TQTRACE2"),
+            ("k3", b"TQTRACE3"),
+            ("k4", b"TQTRACE4"),
+        ] {
             let path = store.capture_path(k).expect("disk tier");
             std::fs::create_dir_all(path.parent().unwrap()).unwrap();
             let mut legacy = magic.to_vec();

@@ -542,8 +542,6 @@ mod tests {
 
     fn ret(t: &mut QuadTool, rtn: u32) {
         t.on_event(&Event::Ret {
-            ip: 0,
-            return_to: 0,
             icount: 0,
             rtn: RoutineId(rtn),
         });
@@ -551,7 +549,6 @@ mod tests {
 
     fn write(t: &mut QuadTool, rtn: u32, ea: u64, size: u32) {
         t.on_event(&Event::MemWrite {
-            ip: 0x10000 + rtn as u64 * 0x100,
             ea,
             size,
             sp: 0x3FFF_F000,
@@ -562,7 +559,6 @@ mod tests {
 
     fn read(t: &mut QuadTool, rtn: u32, ea: u64, size: u32) {
         t.on_event(&Event::MemRead {
-            ip: 0x10000 + rtn as u64 * 0x100,
             ea,
             size,
             sp: 0x3FFF_F000,
@@ -639,7 +635,6 @@ mod tests {
         enter(&mut t, 0, 0x3FFF_FF00);
         // Stack write (ea above sp): filtered from IN/OUT but checked.
         t.on_event(&Event::MemWrite {
-            ip: 0x10000,
             ea: 0x3FFF_F800,
             size: 8,
             sp: 0x3FFF_F000,
@@ -660,7 +655,6 @@ mod tests {
         t.on_attach(&info());
         enter(&mut t, 0, 0x3FFF_FF00);
         t.on_event(&Event::MemRead {
-            ip: 0x10000,
             ea: 0x1000_0000,
             size: 8,
             sp: 0x3FFF_F000,
@@ -679,7 +673,6 @@ mod tests {
         enter(&mut t, 0, 0x3FFF_FF00);
         write(&mut t, 0, 0x1000_0000, 8); // non-stack: checked + traced
         t.on_event(&Event::MemWrite {
-            ip: 0x10000,
             ea: 0x3FFF_F800,
             size: 8,
             sp: 0x3FFF_F000,

@@ -270,7 +270,6 @@ fn events(rng: &mut Rng, info: &ProgramInfo, n: usize) -> Vec<Event> {
     let n_rtns = info.routines.len();
     for i in 1..n as u64 {
         let (rtn, sp) = *stack.last().expect("main is never popped");
-        let ip = info.routines[rtn.idx()].start;
         match rng.index(12) {
             0 if stack.len() < 10 => {
                 let callee = RoutineId(rng.index(n_rtns) as u32);
@@ -284,15 +283,9 @@ fn events(rng: &mut Rng, info: &ProgramInfo, n: usize) -> Vec<Event> {
             }
             1 if stack.len() > 1 => {
                 stack.pop();
-                out.push(Event::Ret {
-                    ip,
-                    return_to: 0,
-                    icount: i,
-                    rtn,
-                });
+                out.push(Event::Ret { icount: i, rtn });
             }
             2..=6 => out.push(Event::MemRead {
-                ip,
                 ea: address(rng, sp),
                 size: size(rng),
                 sp,
@@ -301,7 +294,6 @@ fn events(rng: &mut Rng, info: &ProgramInfo, n: usize) -> Vec<Event> {
                 rtn,
             }),
             _ => out.push(Event::MemWrite {
-                ip,
                 ea: address(rng, sp),
                 size: size(rng),
                 sp,
@@ -473,11 +465,10 @@ fn repeated_orphan_reads_fold_exactly() {
         icount,
     };
     let access = |write: bool, rtn: u32, ea: u64, size: u32| {
-        let (ip, sp, icount) = (0x10000, info.stack_base - 0x100, 0);
+        let (sp, icount) = (info.stack_base - 0x100, 0);
         let rtn = RoutineId(rtn);
         if write {
             Event::MemWrite {
-                ip,
                 ea,
                 size,
                 sp,
@@ -486,7 +477,6 @@ fn repeated_orphan_reads_fold_exactly() {
             }
         } else {
             Event::MemRead {
-                ip,
                 ea,
                 size,
                 sp,

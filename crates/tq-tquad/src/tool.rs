@@ -8,7 +8,7 @@
 //! * routine-granularity instrumentation attaches `EnterFC`, which pushes
 //!   the internal call stack — with the `flag` check that skips functions
 //!   outside the main image under the exclusion option;
-//! * analysis routines receive the instruction pointer, byte count, the
+//! * analysis routines receive the effective address, byte count, the
 //!   prefetch flag (they return immediately for prefetches), and the stack
 //!   pointer for local-stack-area classification;
 //! * predicated instructions only reach the analysis routine when their
@@ -332,7 +332,6 @@ mod tests {
 
     fn read_ev(ea: u64, icount: u64, rtn: RoutineId) -> Event {
         Event::MemRead {
-            ip: 0x10008,
             ea,
             size: 8,
             sp: 0x3FFF_F000,
@@ -372,7 +371,6 @@ mod tests {
             icount: 1,
         });
         t.on_event(&Event::MemRead {
-            ip: 0x10008,
             ea: 0x1000_0000,
             size: 8,
             sp: 0x3FFF_F000,
@@ -480,8 +478,6 @@ mod tests {
             icount: 5,
         });
         t.on_event(&Event::Ret {
-            ip: 0x10020,
-            return_to: 0x10008,
             icount: 9,
             rtn: RoutineId(0),
         });

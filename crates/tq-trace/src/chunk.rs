@@ -47,7 +47,7 @@ impl Trace {
     }
 }
 
-/// Serialise a chunk index (the section after the `TQTRACE4` header).
+/// Serialise a chunk index (the section after the `TQTRACE5` header).
 pub(crate) fn write_index(buf: &mut Vec<u8>, chunks: &[ChunkMeta]) {
     write_u64(buf, chunks.len() as u64);
     for c in chunks {
@@ -55,7 +55,6 @@ pub(crate) fn write_index(buf: &mut Vec<u8>, chunks: &[ChunkMeta]) {
         write_u64(buf, c.end);
         write_u64(buf, c.ctx.start_event);
         write_u64(buf, c.ctx.icount);
-        write_u64(buf, c.ctx.ip);
         write_u64(buf, c.ctx.ea);
         write_u64(buf, c.ctx.sp);
         write_u64(buf, c.ctx.last_rtn.0 as u64);
@@ -120,7 +119,6 @@ pub(crate) fn read_index(bytes: &[u8], pos: &mut usize) -> Result<Vec<ChunkMeta>
         let mut ctx = ShardContext {
             start_event: ru!(),
             icount: ru!(),
-            ip: ru!(),
             ea: ru!(),
             sp: ru!(),
             last_rtn: RoutineId(ru!() as u32),
@@ -201,7 +199,6 @@ mod tests {
             });
             ic += 2;
             rec.on_event(&Event::MemWrite {
-                ip: 0x20010,
                 ea: 0x1000_0000 + round * 8,
                 size: 8,
                 sp: 0x3FFF_FE00,
@@ -210,14 +207,11 @@ mod tests {
             });
             ic += 1;
             rec.on_event(&Event::Ret {
-                ip: 0x20020,
-                return_to: 0x10040,
                 icount: ic,
                 rtn: RoutineId(1),
             });
             ic += 3;
             rec.on_event(&Event::MemRead {
-                ip: 0x10048,
                 ea: 0x1000_0000 + round * 8,
                 size: 8,
                 sp: 0x3FFF_FF00,
@@ -227,8 +221,6 @@ mod tests {
             });
             ic += 1;
             rec.on_event(&Event::Ret {
-                ip: 0x10050,
-                return_to: 0x10000,
                 icount: ic,
                 rtn: RoutineId(0),
             });
@@ -346,7 +338,7 @@ mod tests {
         let trace = sample_trace(4);
         let mut bytes = Vec::new();
         trace.save(&mut bytes).unwrap();
-        assert_eq!(&bytes[..8], b"TQTRACE4");
+        assert_eq!(&bytes[..8], crate::MAGIC);
         let back = Trace::load(&mut bytes.as_slice()).unwrap();
         assert_eq!(back, trace);
         // The index is derived metadata: digests match any other chunking.

@@ -35,25 +35,19 @@ const K_FINI: u8 = 5;
 // column's stride uniform, which is where the delta+RLE win comes from.
 const C_KIND: usize = 0; // one raw byte per record
 const C_DIC: usize = 1; // Δ-icount against the previous record
-const C_R_IP: usize = 2; // MemRead: ip, ea, size, sp, packed rtn/prefetch
-const C_R_EA: usize = 3;
-const C_R_SIZE: usize = 4;
-const C_R_SP: usize = 5;
-const C_R_PK: usize = 6;
-const C_W_IP: usize = 7; // MemWrite: ip, ea, size, sp, rtn
-const C_W_EA: usize = 8;
-const C_W_SIZE: usize = 9;
-const C_W_SP: usize = 10;
-const C_W_RTN: usize = 11;
-const C_C_IP: usize = 12; // Call: ip, callee, rtn
-const C_C_CALLEE: usize = 13;
-const C_C_RTN: usize = 14;
-const C_T_IP: usize = 15; // Ret: ip, return_to, rtn
-const C_T_RET: usize = 16;
-const C_T_RTN: usize = 17;
-const C_E_RTN: usize = 18; // RoutineEnter: rtn, sp
-const C_E_SP: usize = 19;
-const N_COLS: usize = 20;
+const C_R_EA: usize = 2; // MemRead: ea, size, sp, packed rtn/prefetch
+const C_R_SIZE: usize = 3;
+const C_R_SP: usize = 4;
+const C_R_PK: usize = 5;
+const C_W_EA: usize = 6; // MemWrite: ea, size, sp, rtn
+const C_W_SIZE: usize = 7;
+const C_W_SP: usize = 8;
+const C_W_RTN: usize = 9;
+const C_C_RTN: usize = 10; // Call: rtn
+const C_T_RTN: usize = 11; // Ret: rtn
+const C_E_RTN: usize = 12; // RoutineEnter: rtn, sp
+const C_E_SP: usize = 13;
+const N_COLS: usize = 14;
 
 /// Largest factor by which RLE can expand a stored column: a two-byte
 /// repeat token stands for at most 130 bytes.
@@ -72,30 +66,20 @@ const MAX_ACCESS_BYTES: u64 = 1 << 16;
 /// Per-column previous absolute values for the address-like columns,
 /// seeded from the chunk's resume snapshot.
 struct ColPrev {
-    r_ip: u64,
     r_ea: u64,
     r_sp: u64,
-    w_ip: u64,
     w_ea: u64,
     w_sp: u64,
-    c_ip: u64,
-    t_ip: u64,
-    t_ret: u64,
     e_sp: u64,
 }
 
 impl ColPrev {
     fn from_ctx(ctx: &ShardContext) -> ColPrev {
         ColPrev {
-            r_ip: ctx.ip,
             r_ea: ctx.ea,
             r_sp: ctx.sp,
-            w_ip: ctx.ip,
             w_ea: ctx.ea,
             w_sp: ctx.sp,
-            c_ip: ctx.ip,
-            t_ip: ctx.ip,
-            t_ret: ctx.ip,
             e_sp: ctx.sp,
         }
     }
@@ -136,7 +120,6 @@ impl ChunkWriter {
         let (c, p) = (&mut self.cols, &mut self.prev);
         let kind = match *ev {
             Event::MemRead {
-                ip,
                 ea,
                 size,
                 sp,
@@ -144,7 +127,6 @@ impl ChunkWriter {
                 rtn,
                 ..
             } => {
-                delta_to(&mut c[C_R_IP], &mut p.r_ip, ip);
                 delta_to(&mut c[C_R_EA], &mut p.r_ea, ea);
                 write_u64(&mut c[C_R_SIZE], size as u64);
                 delta_to(&mut c[C_R_SP], &mut p.r_sp, sp);
@@ -152,33 +134,19 @@ impl ChunkWriter {
                 K_MEM_READ
             }
             Event::MemWrite {
-                ip,
-                ea,
-                size,
-                sp,
-                rtn,
-                ..
+                ea, size, sp, rtn, ..
             } => {
-                delta_to(&mut c[C_W_IP], &mut p.w_ip, ip);
                 delta_to(&mut c[C_W_EA], &mut p.w_ea, ea);
                 write_u64(&mut c[C_W_SIZE], size as u64);
                 delta_to(&mut c[C_W_SP], &mut p.w_sp, sp);
                 write_u64(&mut c[C_W_RTN], rtn.0 as u64);
                 K_MEM_WRITE
             }
-            Event::Call {
-                ip, callee, rtn, ..
-            } => {
-                delta_to(&mut c[C_C_IP], &mut p.c_ip, ip);
-                write_u64(&mut c[C_C_CALLEE], callee.0 as u64);
+            Event::Call { rtn, .. } => {
                 write_u64(&mut c[C_C_RTN], rtn.0 as u64);
                 K_CALL
             }
-            Event::Ret {
-                ip, return_to, rtn, ..
-            } => {
-                delta_to(&mut c[C_T_IP], &mut p.t_ip, ip);
-                delta_to(&mut c[C_T_RET], &mut p.t_ret, return_to);
+            Event::Ret { rtn, .. } => {
                 write_u64(&mut c[C_T_RTN], rtn.0 as u64);
                 K_RET
             }
@@ -460,8 +428,7 @@ pub(crate) fn replay_chunk(
     };
 
     // Validate a routine id against the routine table; INVALID is legal
-    // where the live VM can emit it (unresolved call targets, code outside
-    // all symbols).
+    // where the live VM can emit it (code outside all symbols).
     let rid = |raw: u64| {
         let r = RoutineId(raw as u32);
         if raw > u32::MAX as u64 || (r != RoutineId::INVALID && r.0 >= n_rtns) {
@@ -478,7 +445,6 @@ pub(crate) fn replay_chunk(
 
     let mut prev = ColPrev::from_ctx(ctx);
     let mut icount = ctx.icount;
-    let mut ip = ctx.ip; // the most recent event's ip, for ticks
     let mut last_rtn = ctx.last_rtn;
     let mut saw_fini = false;
     for (i, &kind) in kinds.iter().enumerate() {
@@ -493,7 +459,6 @@ pub(crate) fn replay_chunk(
             if mask & hooks::TICK != 0 {
                 tool.on_event(&Event::Tick {
                     icount: next_tick,
-                    ip,
                     rtn: last_rtn,
                 });
             }
@@ -505,7 +470,6 @@ pub(crate) fn replay_chunk(
 
         match kind {
             K_MEM_READ => {
-                ip = c[C_R_IP].d(&mut prev.r_ip)?;
                 let ea = c[C_R_EA].d(&mut prev.r_ea)?;
                 let size = check_size(c[C_R_SIZE].u()?)?;
                 let sp = c[C_R_SP].d(&mut prev.r_sp)?;
@@ -513,7 +477,6 @@ pub(crate) fn replay_chunk(
                 last_rtn = rid(packed >> 1)?;
                 if mask & hooks::MEM_READ != 0 {
                     tool.on_event(&Event::MemRead {
-                        ip,
                         ea,
                         size,
                         sp,
@@ -524,14 +487,12 @@ pub(crate) fn replay_chunk(
                 }
             }
             K_MEM_WRITE => {
-                ip = c[C_W_IP].d(&mut prev.w_ip)?;
                 let ea = c[C_W_EA].d(&mut prev.w_ea)?;
                 let size = check_size(c[C_W_SIZE].u()?)?;
                 let sp = c[C_W_SP].d(&mut prev.w_sp)?;
                 last_rtn = rid(c[C_W_RTN].u()?)?;
                 if mask & hooks::MEM_WRITE != 0 {
                     tool.on_event(&Event::MemWrite {
-                        ip,
                         ea,
                         size,
                         sp,
@@ -541,26 +502,18 @@ pub(crate) fn replay_chunk(
                 }
             }
             K_CALL => {
-                ip = c[C_C_IP].d(&mut prev.c_ip)?;
-                let callee = rid(c[C_C_CALLEE].u()?)?;
                 last_rtn = rid(c[C_C_RTN].u()?)?;
                 if mask & hooks::CALL != 0 {
                     tool.on_event(&Event::Call {
-                        ip,
-                        callee,
                         icount,
                         rtn: last_rtn,
                     });
                 }
             }
             K_RET => {
-                ip = c[C_T_IP].d(&mut prev.t_ip)?;
-                let return_to = c[C_T_RET].d(&mut prev.t_ret)?;
                 last_rtn = rid(c[C_T_RTN].u()?)?;
                 if mask & hooks::RET != 0 {
                     tool.on_event(&Event::Ret {
-                        ip,
-                        return_to,
                         icount,
                         rtn: last_rtn,
                     });

@@ -110,7 +110,6 @@ impl Tool for EventDigest {
         let d = &mut self.0;
         match *ev {
             Event::MemRead {
-                ip,
                 ea,
                 size,
                 sp,
@@ -119,39 +118,28 @@ impl Tool for EventDigest {
                 rtn,
             } => {
                 let prefetch = is_prefetch as u64;
-                for v in [0, ip, ea, size as u64, sp, prefetch, icount, rtn.0 as u64] {
+                for v in [0, ea, size as u64, sp, prefetch, icount, rtn.0 as u64] {
                     d.update_u64(v);
                 }
             }
             Event::MemWrite {
-                ip,
                 ea,
                 size,
                 sp,
                 icount,
                 rtn,
             } => {
-                for v in [1, ip, ea, size as u64, sp, icount, rtn.0 as u64] {
+                for v in [1, ea, size as u64, sp, icount, rtn.0 as u64] {
                     d.update_u64(v);
                 }
             }
-            Event::Call {
-                ip,
-                callee,
-                icount,
-                rtn,
-            } => {
-                for v in [2, ip, callee.0 as u64, icount, rtn.0 as u64] {
+            Event::Call { icount, rtn } => {
+                for v in [2, icount, rtn.0 as u64] {
                     d.update_u64(v);
                 }
             }
-            Event::Ret {
-                ip,
-                return_to,
-                icount,
-                rtn,
-            } => {
-                for v in [3, ip, return_to, icount, rtn.0 as u64] {
+            Event::Ret { icount, rtn } => {
+                for v in [3, icount, rtn.0 as u64] {
                     d.update_u64(v);
                 }
             }

@@ -15,9 +15,9 @@
 //! replay. Replay is **exact** for event-driven tools (tQUAD, QUAD): the
 //! replayed event sequence is bit-identical to the live one, which the
 //! round-trip tests assert. Tick-driven tools (the sampling profiler) get
-//! ticks synthesised from the recorded virtual clock; the tick's
-//! instruction pointer is the most recent event's, an approximation
-//! documented on [`Trace::replay`].
+//! ticks synthesised from the recorded virtual clock; the tick's routine
+//! is the most recent event's, an approximation documented on
+//! [`Trace::replay`].
 
 #![warn(missing_docs)]
 
@@ -83,14 +83,13 @@ pub use chunk::{ChunkMeta, DEFAULT_CHUNKS};
 pub use digest::{digest_program, Digest128};
 pub use stream::StreamingTrace;
 
-/// Magic of the one on-disk format, `TQTRACE4`: header, chunk index, the
+/// Magic of the one on-disk format, `TQTRACE5`: header, chunk index, the
 /// blob store (one column blob per chunk, see [`columnar`]), then the
-/// optional `TQIM` tail. Anything else — including the earlier
-/// `TQTRACE3` layout (length-prefixed blobs and a raw tail) and the
-/// retired v1/v2 row-stream layouts — fails to load with
+/// optional `TQIM` tail. Anything else — including the retired
+/// `TQTRACE4`, `TQTRACE3` and v1/v2 layouts — fails to load with
 /// [`TraceError::BadHeader`]. Exported so cache layers check the exact
 /// magic rather than a prefix.
-pub const MAGIC: &[u8; 8] = b"TQTRACE4";
+pub const MAGIC: &[u8; 8] = b"TQTRACE5";
 /// Tag of the optional instrumentation-mode tail appended after a capture's
 /// blob store: `TQIM`, a varint byte length, then [`InstrInfo::encode`]
 /// bytes. Full-instrumentation captures omit the tail entirely.
@@ -104,14 +103,14 @@ const INSTR_MAGIC: &[u8; 4] = b"TQIM";
 /// chunk's decoded columns fit in cache.
 pub const CHUNK_EVENTS: u64 = 1 << 14;
 
-/// On-disk format selector for [`Trace::save_as`]: `TQTRACE4` is the only
+/// On-disk format selector for [`Trace::save_as`]: `TQTRACE5` is the only
 /// format, and the variant keeps its older name. The enum and `save_as`
 /// stay because the benchmark harness (`perfbench/`) calls
 /// `save_as(&mut w, TraceFormat::V3)` and is frozen: workspace changes may
 /// not edit it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceFormat {
-    /// `TQTRACE4`: header + chunk index + blob store.
+    /// `TQTRACE5`: header + chunk index + blob store.
     V3,
 }
 
@@ -244,17 +243,12 @@ impl Tool for TraceRecorder {
         // with the tools' own update rules (see `ShardContext`): every
         // routine vs. main-image-only pushes, pop-iff-top-matches on ret.
         match *ev {
-            Event::MemRead {
-                ip, ea, sp, rtn, ..
+            Event::MemRead { ea, sp, rtn, .. } | Event::MemWrite { ea, sp, rtn, .. } => {
+                (s.ea, s.sp, s.last_rtn) = (ea, sp, rtn);
             }
-            | Event::MemWrite {
-                ip, ea, sp, rtn, ..
-            } => {
-                (s.ip, s.ea, s.sp, s.last_rtn) = (ip, ea, sp, rtn);
-            }
-            Event::Call { ip, rtn, .. } => (s.ip, s.last_rtn) = (ip, rtn),
-            Event::Ret { ip, rtn, .. } => {
-                (s.ip, s.last_rtn) = (ip, rtn);
+            Event::Call { rtn, .. } => s.last_rtn = rtn,
+            Event::Ret { rtn, .. } => {
+                s.last_rtn = rtn;
                 for frames in [&mut s.frames_all, &mut s.frames_main] {
                     if frames.last().is_some_and(|f| f.0 == rtn) {
                         frames.pop();
@@ -301,7 +295,7 @@ impl std::fmt::Display for TraceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TraceError::Malformed(what) => write!(f, "malformed trace: {what}"),
-            TraceError::BadHeader => write!(f, "not a TQTRACE4 file"),
+            TraceError::BadHeader => write!(f, "not a TQTRACE5 file"),
         }
     }
 }
@@ -393,7 +387,7 @@ fn parse_instr_tail(bytes: &[u8], pos: &mut usize) -> Result<Option<InstrInfo>, 
 }
 
 impl Trace {
-    /// Everything the `TQTRACE4` image holds before the blob store: header
+    /// Everything the `TQTRACE5` image holds before the blob store: header
     /// (magic, stack base, entry, routine table, record count, blob-store
     /// length) and chunk index. The index must cover the blob store
     /// contiguously from byte 0.
@@ -423,7 +417,7 @@ impl Trace {
         Ok(out)
     }
 
-    /// Serialise to a writer as `TQTRACE4`: header and chunk index, the
+    /// Serialise to a writer as `TQTRACE5`: header and chunk index, the
     /// blob store as is — nothing is re-encoded — then the `TQIM` tail when
     /// present. A trace whose chunk index does not describe its blob store
     /// (possible only for a hand-built one) fails with
@@ -451,9 +445,9 @@ impl Trace {
         self.save(w)
     }
 
-    /// Deserialise a `TQTRACE4` image from a reader. The blob store is
+    /// Deserialise a `TQTRACE5` image from a reader. The blob store is
     /// moved out of the image, not decoded, so the loaded trace equals the
-    /// one saved. Any other magic, including the earlier `TQTRACE3`
+    /// one saved. Any other magic, including the earlier `TQTRACE4`
     /// layout, is [`TraceError::BadHeader`].
     pub fn load<R: Read>(r: &mut R) -> Result<Trace, TraceError> {
         let mut bytes = Vec::new();
@@ -579,7 +573,6 @@ mod tests {
                 icount: 1,
             },
             Event::MemWrite {
-                ip: 0x10008,
                 ea: 0x1000_0000,
                 size: 8,
                 sp: 0x3FFF_FE00,
@@ -587,7 +580,6 @@ mod tests {
                 rtn: RoutineId(0),
             },
             Event::MemRead {
-                ip: 0x10010,
                 ea: 0x1000_0000,
                 size: 4,
                 sp: 0x3FFF_FE00,
@@ -596,7 +588,6 @@ mod tests {
                 rtn: RoutineId(0),
             },
             Event::MemRead {
-                ip: 0x10018,
                 ea: 0x1000_0040,
                 size: 8,
                 sp: 0x3FFF_FE00,
@@ -605,14 +596,10 @@ mod tests {
                 rtn: RoutineId(0),
             },
             Event::Call {
-                ip: 0x10020,
-                callee: RoutineId(0),
                 icount: 5,
                 rtn: RoutineId(0),
             },
             Event::Ret {
-                ip: 0x10028,
-                return_to: 0x10028,
                 icount: 9,
                 rtn: RoutineId(0),
             },

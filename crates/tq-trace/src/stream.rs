@@ -195,10 +195,11 @@ impl Trace {
     /// would have selected; event-driven tools behave identically.
     ///
     /// If the tool requests ticks, they are synthesised whenever the
-    /// virtual clock passes a multiple of the interval; the tick's `ip`
-    /// and `rtn` are those of the most recent event (live ticks carry the
-    /// *current* instruction — exact for event-dense code, approximate
-    /// across long event-free stretches).
+    /// virtual clock passes a multiple of the interval. A tick's `rtn` is
+    /// the one field where replay and live runs can differ: replay takes
+    /// the most recent event's routine, a live tick the routine of the
+    /// instruction about to execute — the same for event-dense code,
+    /// possibly not across long event-free stretches.
     pub fn replay(&self, tool: &mut dyn Tool) -> Result<(), TraceError> {
         self.driver()?.sequential(tool)
     }

@@ -1,4 +1,4 @@
-//! TQTRACE4 property net: captures save and load back equal (same blob
+//! Capture-format property net: captures save and load back equal (same blob
 //! store, same digest), the streaming reader reproduces in-memory replay
 //! bit-for-bit, corrupt, truncated or hand-built captures come back as
 //! `Err`s — never panics — through every replay surface and tool, and the
@@ -37,7 +37,7 @@ fn v3_save_load_roundtrips_bit_exactly() {
         let trace = random_trace(0x3C01 ^ seed, 1_200);
         assert!(trace.chunks.len() >= 8, "seed {seed}: too few chunks");
         let bytes = save_bytes(&trace);
-        assert_eq!(&bytes[..8], b"TQTRACE4", "seed {seed}");
+        assert_eq!(&bytes[..8], tq_trace::MAGIC, "seed {seed}");
         let reloaded = Trace::load(&mut bytes.as_slice()).expect("reload");
         assert_eq!(trace, reloaded, "seed {seed}: v3 roundtrip not exact");
         assert_eq!(trace.digest(), reloaded.digest(), "seed {seed}");
@@ -201,7 +201,7 @@ fn wfs_capture_streams_exactly() {
     let trace = vm.detach_tool::<TraceRecorder>(h).unwrap().into_trace();
     assert!(trace.chunks.len() > 4, "wfs tiny must span several chunks");
     let bytes = save_bytes(&trace);
-    assert_eq!(&bytes[..8], b"TQTRACE4");
+    assert_eq!(&bytes[..8], tq_trace::MAGIC);
     assert_eq!(
         Trace::load(&mut bytes.as_slice()).expect("reload").digest(),
         trace.digest()
@@ -229,11 +229,13 @@ fn streaming_decodes_one_chunk_at_a_time() {
 
 #[test]
 fn legacy_magics_are_bad_headers() {
-    // The row-stream TQTRACE1/TQTRACE2 layouts and the length-prefixed
-    // TQTRACE3 blob layout are retired: a file that carries one of their
-    // magics is not a capture, whatever follows it.
+    // The row-stream TQTRACE1/TQTRACE2 layouts, the length-prefixed
+    // TQTRACE3 blob layout and the TQTRACE4 columns that also stored
+    // instruction pointers, call targets and return addresses are retired:
+    // a file that carries one of their magics is not a capture, whatever
+    // follows it.
     let v3 = save_bytes(&random_trace(0x01D, 200));
-    for magic in [b"TQTRACE1", b"TQTRACE2", b"TQTRACE3"] {
+    for magic in [b"TQTRACE1", b"TQTRACE2", b"TQTRACE3", b"TQTRACE4"] {
         let mut legacy = v3.clone();
         legacy[..8].copy_from_slice(magic);
         assert_eq!(
@@ -314,7 +316,6 @@ fn record_events(events: &[Event], fini: u64, chunk: u64) -> Trace {
 
 fn read_at(icount: u64) -> Event {
     Event::MemRead {
-        ip: 0x11008,
         ea: 0x1000_0000,
         size: 8,
         sp: 0x3FFF_FE00,

@@ -69,7 +69,6 @@ pub fn random_run(seed: u64, n_events: usize) -> Run {
     for _ in 0..n_events {
         icount += rng.u64_in(1, 9);
         let (rtn, sp) = *stack.last().unwrap();
-        let ip = info.routines[rtn.idx()].start + 8 * rng.u64_in(0, 30);
         let ea = |rng: &mut Rng| {
             if rng.index(4) == 0 {
                 sp - rng.u64_in(0, 128)
@@ -80,12 +79,7 @@ pub fn random_run(seed: u64, n_events: usize) -> Run {
         match rng.index(10) {
             0 | 1 if stack.len() < 12 => {
                 let callee = RoutineId(rng.index(4) as u32);
-                events.push(Event::Call {
-                    ip,
-                    callee,
-                    icount,
-                    rtn,
-                });
+                events.push(Event::Call { icount, rtn });
                 icount += 1;
                 let new_sp = sp - rng.u64_in(16, 64);
                 stack.push((callee, new_sp));
@@ -97,16 +91,9 @@ pub fn random_run(seed: u64, n_events: usize) -> Run {
             }
             2 if stack.len() > 1 => {
                 stack.pop();
-                let (back_rtn, _) = *stack.last().unwrap();
-                events.push(Event::Ret {
-                    ip,
-                    return_to: info.routines[back_rtn.idx()].start + 16,
-                    icount,
-                    rtn,
-                });
+                events.push(Event::Ret { icount, rtn });
             }
             3..=5 => events.push(Event::MemRead {
-                ip,
                 ea: ea(&mut rng),
                 size: 1 << rng.index(4),
                 sp,
@@ -115,7 +102,6 @@ pub fn random_run(seed: u64, n_events: usize) -> Run {
                 rtn,
             }),
             _ => events.push(Event::MemWrite {
-                ip,
                 ea: ea(&mut rng),
                 size: 1 << rng.index(4),
                 sp,
@@ -142,7 +128,6 @@ pub fn strided_run(n_iters: usize) -> Run {
     for i in 0..n_iters as u64 {
         icount += 4;
         events.push(Event::MemRead {
-            ip: 0x11008,
             ea: src + 64 * i,
             size: 8,
             sp,
@@ -152,7 +137,6 @@ pub fn strided_run(n_iters: usize) -> Run {
         });
         icount += 2;
         events.push(Event::MemWrite {
-            ip: 0x11010,
             ea: dst + 64 * i,
             size: 8,
             sp,

@@ -1,7 +1,7 @@
 //! Reference model of the event stream: the delta+varint *row* codec the
 //! capture format used before events were recorded straight into columns.
-//! Every event is one row — kind, Δ-icount, then its fields as deltas
-//! against shared ip/ea/sp registers — so the row stream is the plain,
+//! Every event is one row — kind, Δ-icount, then its fields, addresses as
+//! deltas against shared ea/sp registers — so the row stream is the plain,
 //! obviously-correct serialisation the column path is checked against:
 //! [`RowRecorder`] writes it from live or synthetic events, [`decode_rows`]
 //! reads it back, and its length is the reference for the column format's
@@ -55,7 +55,6 @@ fn read_i64(buf: &[u8], pos: &mut usize) -> Option<i64> {
 #[derive(Default)]
 struct Regs {
     icount: u64,
-    ip: u64,
     ea: u64,
     sp: u64,
 }
@@ -97,7 +96,6 @@ impl Tool for RowRecorder {
     fn on_event(&mut self, ev: &Event) {
         match *ev {
             Event::MemRead {
-                ip,
                 ea,
                 size,
                 sp,
@@ -106,14 +104,12 @@ impl Tool for RowRecorder {
                 rtn,
             } => {
                 self.head(K_MEM_READ, icount);
-                self.delta(ip, |r| &mut r.ip);
                 self.delta(ea, |r| &mut r.ea);
                 write_u64(&mut self.rows, size as u64);
                 self.delta(sp, |r| &mut r.sp);
                 write_u64(&mut self.rows, ((rtn.0 as u64) << 1) | is_prefetch as u64);
             }
             Event::MemWrite {
-                ip,
                 ea,
                 size,
                 sp,
@@ -121,33 +117,17 @@ impl Tool for RowRecorder {
                 rtn,
             } => {
                 self.head(K_MEM_WRITE, icount);
-                self.delta(ip, |r| &mut r.ip);
                 self.delta(ea, |r| &mut r.ea);
                 write_u64(&mut self.rows, size as u64);
                 self.delta(sp, |r| &mut r.sp);
                 write_u64(&mut self.rows, rtn.0 as u64);
             }
-            Event::Call {
-                ip,
-                callee,
-                icount,
-                rtn,
-            } => {
+            Event::Call { icount, rtn } => {
                 self.head(K_CALL, icount);
-                self.delta(ip, |r| &mut r.ip);
-                write_u64(&mut self.rows, callee.0 as u64);
                 write_u64(&mut self.rows, rtn.0 as u64);
             }
-            Event::Ret {
-                ip,
-                return_to,
-                icount,
-                rtn,
-            } => {
+            Event::Ret { icount, rtn } => {
                 self.head(K_RET, icount);
-                self.delta(ip, |r| &mut r.ip);
-                // return_to is stored relative to the *updated* ip.
-                write_i64(&mut self.rows, (return_to as i64).wrapping_sub(ip as i64));
                 write_u64(&mut self.rows, rtn.0 as u64);
             }
             Event::RoutineEnter { rtn, sp, icount } => {
@@ -187,14 +167,12 @@ pub fn decode_rows(rows: &[u8]) -> Result<Vec<Record>, &'static str> {
         let icount = r.icount;
         let ev = match kind {
             K_MEM_READ | K_MEM_WRITE => {
-                r.ip = r.ip.wrapping_add_signed(i(&mut pos)?);
                 r.ea = r.ea.wrapping_add_signed(i(&mut pos)?);
                 let size = u(&mut pos)? as u32;
                 r.sp = r.sp.wrapping_add_signed(i(&mut pos)?);
                 let last = u(&mut pos)?;
                 if kind == K_MEM_READ {
                     Event::MemRead {
-                        ip: r.ip,
                         ea: r.ea,
                         size,
                         sp: r.sp,
@@ -204,7 +182,6 @@ pub fn decode_rows(rows: &[u8]) -> Result<Vec<Record>, &'static str> {
                     }
                 } else {
                     Event::MemWrite {
-                        ip: r.ip,
                         ea: r.ea,
                         size,
                         sp: r.sp,
@@ -213,24 +190,14 @@ pub fn decode_rows(rows: &[u8]) -> Result<Vec<Record>, &'static str> {
                     }
                 }
             }
-            K_CALL => {
-                r.ip = r.ip.wrapping_add_signed(i(&mut pos)?);
-                Event::Call {
-                    ip: r.ip,
-                    callee: rid(u(&mut pos)?),
-                    icount,
-                    rtn: rid(u(&mut pos)?),
-                }
-            }
-            K_RET => {
-                r.ip = r.ip.wrapping_add_signed(i(&mut pos)?);
-                Event::Ret {
-                    ip: r.ip,
-                    return_to: r.ip.wrapping_add_signed(i(&mut pos)?),
-                    icount,
-                    rtn: rid(u(&mut pos)?),
-                }
-            }
+            K_CALL => Event::Call {
+                icount,
+                rtn: rid(u(&mut pos)?),
+            },
+            K_RET => Event::Ret {
+                icount,
+                rtn: rid(u(&mut pos)?),
+            },
             K_RTN_ENTER => {
                 let rtn = rid(u(&mut pos)?);
                 r.sp = r.sp.wrapping_add_signed(i(&mut pos)?);

@@ -47,7 +47,6 @@ fn synthetic_trace(seed: u64, n_events: usize) -> Trace {
     for _ in 0..n_events {
         icount += rng.u64_in(1, 9);
         rec.on_event(&Event::MemWrite {
-            ip: 0x10000 + 8 * rng.u64_in(0, 30),
             ea: 0x1000_0000 + rng.u64_in(0, 4096),
             size: 1 << rng.index(4),
             sp: info.stack_base,

@@ -63,17 +63,11 @@ fn random_trace(seed: u64, n_events: usize, chunk: u64) -> Trace {
     for _ in 0..n_events {
         icount += rng.u64_in(1, 9);
         let (rtn, sp) = *stack.last().unwrap();
-        let ip = info.routines[rtn.idx()].start + 8 * rng.u64_in(0, 30);
         match rng.index(10) {
             // Call + enter a random routine (bounded depth).
             0 | 1 if stack.len() < 12 => {
                 let callee = RoutineId(rng.index(4) as u32);
-                rec.on_event(&Event::Call {
-                    ip,
-                    callee,
-                    icount,
-                    rtn,
-                });
+                rec.on_event(&Event::Call { icount, rtn });
                 icount += 1;
                 let new_sp = sp - rng.u64_in(16, 64);
                 stack.push((callee, new_sp));
@@ -86,13 +80,7 @@ fn random_trace(seed: u64, n_events: usize, chunk: u64) -> Trace {
             // Return to the caller (never pop main).
             2 if stack.len() > 1 => {
                 stack.pop();
-                let (back_rtn, _) = *stack.last().unwrap();
-                rec.on_event(&Event::Ret {
-                    ip,
-                    return_to: info.routines[back_rtn.idx()].start + 16,
-                    icount,
-                    rtn,
-                });
+                rec.on_event(&Event::Ret { icount, rtn });
             }
             // Reads, occasionally prefetches, on heap or stack addresses.
             3 | 4 | 5 => {
@@ -102,7 +90,6 @@ fn random_trace(seed: u64, n_events: usize, chunk: u64) -> Trace {
                     0x1000_0000 + rng.u64_in(0, 3 * 4096)
                 };
                 rec.on_event(&Event::MemRead {
-                    ip,
                     ea,
                     size: access_size(&mut rng),
                     sp,
@@ -119,7 +106,6 @@ fn random_trace(seed: u64, n_events: usize, chunk: u64) -> Trace {
                     0x1000_0000 + rng.u64_in(0, 3 * 4096)
                 };
                 rec.on_event(&Event::MemWrite {
-                    ip,
                     ea,
                     size: access_size(&mut rng),
                     sp,

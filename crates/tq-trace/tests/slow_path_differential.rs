@@ -41,7 +41,6 @@ impl Tool for EventLog {
     fn on_event(&mut self, ev: &Event) {
         let words = match *ev {
             Event::MemRead {
-                ip,
                 ea,
                 size,
                 sp,
@@ -50,7 +49,6 @@ impl Tool for EventLog {
                 rtn,
             } => [
                 1,
-                ip,
                 ea,
                 size as u64 | (is_prefetch as u64) << 32,
                 sp,
@@ -58,26 +56,15 @@ impl Tool for EventLog {
                 rtn.0 as u64,
             ],
             Event::MemWrite {
-                ip,
                 ea,
                 size,
                 sp,
                 icount,
                 rtn,
-            } => [2, ip, ea, size as u64, sp, icount, rtn.0 as u64],
-            Event::Call {
-                ip,
-                callee,
-                icount,
-                rtn,
-            } => [3, ip, callee.0 as u64, icount, rtn.0 as u64, 0, 0],
-            Event::Ret {
-                ip,
-                return_to,
-                icount,
-                rtn,
-            } => [4, ip, return_to, icount, rtn.0 as u64, 0, 0],
-            Event::RoutineEnter { rtn, sp, icount } => [5, rtn.0 as u64, sp, icount, 0, 0, 0],
+            } => [2, ea, size as u64, sp, icount, rtn.0 as u64],
+            Event::Call { icount, rtn } => [3, icount, rtn.0 as u64, 0, 0, 0],
+            Event::Ret { icount, rtn } => [4, icount, rtn.0 as u64, 0, 0, 0],
+            Event::RoutineEnter { rtn, sp, icount } => [5, rtn.0 as u64, sp, icount, 0, 0],
             Event::Tick { .. } => panic!("the event log asked for no ticks"),
         };
         self.count += 1;

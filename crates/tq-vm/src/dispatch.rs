@@ -78,7 +78,7 @@ impl Vm {
                 }
                 self.icount += 1;
                 if self.icount >= self.next_tick {
-                    self.fire_ticks(d.pc, d.rtn);
+                    self.fire_ticks(d.rtn);
                 }
                 // Gating-slice boundaries are hoisted exactly like ticks:
                 // the fast path never crosses one.

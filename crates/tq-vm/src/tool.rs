@@ -132,13 +132,13 @@ pub struct InsContext<'a> {
 /// instruction. `rtn` is the routine *statically containing the instruction*
 /// — tools that need dynamic context (e.g. attributing a library callee to
 /// its caller) maintain their own call stack from `Call`/`Ret`/
-/// `RoutineEnter`, exactly as tQUAD does.
+/// `RoutineEnter`, exactly as tQUAD does. Like the arguments of a Pin
+/// analysis routine, an event carries only what the shipped analyses read:
+/// no instruction pointer, call target or return address.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Event {
     /// A memory read of `size` bytes at `ea`.
     MemRead {
-        /// Instruction pointer.
-        ip: u64,
         /// Effective address.
         ea: u64,
         /// Access size in bytes.
@@ -149,13 +149,11 @@ pub enum Event {
         is_prefetch: bool,
         /// Virtual clock.
         icount: u64,
-        /// Routine containing `ip`.
+        /// Routine containing the instruction.
         rtn: RoutineId,
     },
     /// A memory write of `size` bytes at `ea`.
     MemWrite {
-        /// Instruction pointer.
-        ip: u64,
         /// Effective address.
         ea: u64,
         /// Access size in bytes.
@@ -164,16 +162,11 @@ pub enum Event {
         sp: u64,
         /// Virtual clock.
         icount: u64,
-        /// Routine containing `ip`.
+        /// Routine containing the instruction.
         rtn: RoutineId,
     },
     /// A call instruction executed; fires *after* the return address push.
     Call {
-        /// Call-site instruction pointer.
-        ip: u64,
-        /// Resolved callee routine ([`RoutineId::INVALID`] if the target is
-        /// outside all symbols).
-        callee: RoutineId,
         /// Virtual clock.
         icount: u64,
         /// Routine containing the call site.
@@ -181,10 +174,6 @@ pub enum Event {
     },
     /// A return instruction executed; fires *after* the return-address pop.
     Ret {
-        /// Instruction pointer of the `ret`.
-        ip: u64,
-        /// Address being returned to.
-        return_to: u64,
         /// Virtual clock.
         icount: u64,
         /// Routine containing the `ret`.
@@ -204,9 +193,7 @@ pub enum Event {
     Tick {
         /// Virtual clock.
         icount: u64,
-        /// Instruction pointer about to execute.
-        ip: u64,
-        /// Routine containing `ip`.
+        /// Routine containing the instruction about to execute.
         rtn: RoutineId,
     },
 }
@@ -310,8 +297,6 @@ pub struct ShardContext {
     pub start_event: u64,
     /// Virtual clock after the last event of the prefix (0 at stream start).
     pub icount: u64,
-    /// Delta-decoder instruction pointer.
-    pub ip: u64,
     /// Delta-decoder effective address.
     pub ea: u64,
     /// Delta-decoder stack pointer.
@@ -331,7 +316,6 @@ impl Default for ShardContext {
         ShardContext {
             start_event: 0,
             icount: 0,
-            ip: 0,
             ea: 0,
             sp: 0,
             last_rtn: RoutineId::INVALID,
@@ -460,12 +444,10 @@ mod tests {
     fn event_icount_accessor() {
         let ev = Event::Tick {
             icount: 42,
-            ip: 0,
             rtn: RoutineId::INVALID,
         };
         assert_eq!(ev.icount(), 42);
         let ev = Event::MemRead {
-            ip: 0,
             ea: 0,
             size: 8,
             sp: 0,

@@ -134,8 +134,6 @@ pub(crate) struct DecodedInst {
     pub(crate) inst: Inst,
     pub(crate) rtn: RoutineId,
     pub(crate) rtn_enter: bool,
-    /// Resolved callee for direct calls.
-    pub(crate) static_callee: RoutineId,
     /// `(tool index, subscribed events)` — attached at decode time.
     pub(crate) hooks: Box<[(u16, HookMask)]>,
 }
@@ -494,10 +492,6 @@ impl Vm {
 
             let rtn = Self::rtn_at(&self.rtn_index, pc);
             let rtn_enter = rtn != RoutineId::INVALID && self.info.routines[rtn.idx()].start == pc;
-            let static_callee = match inst {
-                Inst::Call { target } => Self::rtn_at(&self.rtn_index, target as u64),
-                _ => RoutineId::INVALID,
-            };
 
             // Instrumentation time: ask every tool what it wants.
             let ctx = InsContext {
@@ -533,7 +527,6 @@ impl Vm {
                 inst,
                 rtn,
                 rtn_enter,
-                static_callee,
                 hooks: hook_list.into_boxed_slice(),
             });
             if ends {
@@ -619,7 +612,6 @@ impl Vm {
             return;
         }
         let ev = Event::MemRead {
-            ip: d.pc,
             ea,
             size,
             sp: self.regs[abi::SP.idx()],
@@ -641,7 +633,6 @@ impl Vm {
             return;
         }
         let ev = Event::MemWrite {
-            ip: d.pc,
             ea,
             size,
             sp: self.regs[abi::SP.idx()],
@@ -668,12 +659,11 @@ impl Vm {
         }
     }
 
-    pub(crate) fn fire_ticks(&mut self, ip: u64, rtn: RoutineId) {
+    pub(crate) fn fire_ticks(&mut self, rtn: RoutineId) {
         for ti in 0..self.tools.len() {
             while self.tick_due[ti] <= self.icount {
                 let ev = Event::Tick {
                     icount: self.icount,
-                    ip,
                     rtn,
                 };
                 if let Some(tool) = self.tools[ti].as_mut() {
@@ -919,15 +909,8 @@ impl Vm {
                     return Ok(Next::Jump(target as u64));
                 }
             }
-            Call { target } => {
-                let t = target as u64;
-                return self.exec_call(d, t, d.static_callee);
-            }
-            CallR { rs } => {
-                let t = self.r(rs);
-                let callee = Self::rtn_at(&self.rtn_index, t);
-                return self.exec_call(d, t, callee);
-            }
+            Call { target } => return self.exec_call(d, target as u64),
+            CallR { rs } => return self.exec_call(d, self.r(rs)),
             Ret => {
                 let sp = self.r(abi::SP);
                 let ra = self.mem.read_uint(sp, 8).map_err(merr)?;
@@ -935,8 +918,6 @@ impl Vm {
                 self.regs[abi::SP.idx()] = sp + 8;
                 if !d.hooks.is_empty() {
                     let ev = Event::Ret {
-                        ip: d.pc,
-                        return_to: ra,
                         icount: self.icount,
                         rtn: d.rtn,
                     };
@@ -952,12 +933,7 @@ impl Vm {
         Ok(Next::Fall)
     }
 
-    fn exec_call(
-        &mut self,
-        d: &DecodedInst,
-        target: u64,
-        callee: RoutineId,
-    ) -> Result<Next, VmError> {
+    fn exec_call(&mut self, d: &DecodedInst, target: u64) -> Result<Next, VmError> {
         let sp = self.r(abi::SP).wrapping_sub(8);
         if sp < layout::STACK_BASE - self.stack_limit {
             return Err(VmError::StackOverflow { sp });
@@ -970,8 +946,6 @@ impl Vm {
         self.fire_mem_write(d, sp, 8);
         if !d.hooks.is_empty() {
             let ev = Event::Call {
-                ip: d.pc,
-                callee,
                 icount: self.icount,
                 rtn: d.rtn,
             };

@@ -172,13 +172,13 @@ fn call_and_ret_maintain_stack_and_fire_events() {
     let mut enters = Vec::new();
     for e in &rec.events {
         match e {
-            Event::Call { callee, .. } => {
+            Event::Call { rtn, .. } => {
                 calls += 1;
-                assert_eq!(*callee, RoutineId(1));
+                assert_eq!(*rtn, RoutineId(0), "the call site is in main");
             }
-            Event::Ret { return_to, .. } => {
+            Event::Ret { rtn, .. } => {
                 rets += 1;
-                assert_eq!(*return_to, layout::MAIN_TEXT_BASE + 8);
+                assert_eq!(*rtn, RoutineId(1), "the ret is in the callee");
             }
             Event::RoutineEnter { rtn, .. } => enters.push(*rtn),
             _ => {}
@@ -580,11 +580,12 @@ fn library_image_routines_are_flagged() {
 
     vm.run(None).unwrap();
     let rec = vm.detach_tool::<Recorder>(h).unwrap();
+    let main_id = info.routine_named("main").unwrap();
     let lib_id = info.routine_named("lib_memcpy").unwrap();
     assert!(rec
         .events
         .iter()
-        .any(|e| matches!(e, Event::Call { callee, .. } if *callee == lib_id)));
+        .any(|e| matches!(e, Event::Call { rtn, .. } if *rtn == main_id)));
     assert!(rec
         .events
         .iter()
