@@ -10,9 +10,7 @@
 //! * **full** — every memory event instrumented (baseline);
 //! * **filter:\*** — the all-routines filter, which must be a no-op:
 //!   the resulting profile is asserted *identical* to full;
-//! * **sample:8/5000@0** — every 8th gating slice live;
-//! * **converge:0.1,6/5000** — per-routine gating once the profile is
-//!   stable for 6 slices, with periodic re-probes.
+//! * **sample:8/5000@0** — every 8th gating slice live.
 //!
 //! Accuracy metric: for every kernel carrying at least 1% of the full
 //! run's traffic, the relative error of its reconstructed mean bandwidth
@@ -22,16 +20,14 @@
 //!
 //! The **guards** checked by `scripts/verify.sh`:
 //! * `filter:*` produces the byte-identical profile on every workload;
-//! * sample and converge each cut instrumented wall-time by at least
-//!   1.3x vs full (geometric mean across workloads; best-of-N walls with
-//!   iterations interleaved across modes so load bursts cannot bias the
-//!   ratio);
+//! * sample cuts instrumented wall-time by at least 1.3x vs full
+//!   (geometric mean across workloads; best-of-N walls with iterations
+//!   interleaved across modes so load bursts cannot bias the ratio);
 //! * the max per-kernel bandwidth error stays under the documented
-//!   bound for each mode (0.25 for sample, 0.25 for converge);
-//! * convergence actually engages (coverage < 100%) on the steady
-//!   kernelc workload — otherwise its speedup claim would be vacuous.
+//!   0.25 bound.
 //!
-//! Results land in `results/instr_accuracy.tsv`.
+//! Results land in `results/instr_accuracy.tsv`, headed by the host's CPU
+//! model and core count.
 
 use std::time::Duration;
 use tq_bench::{save, GuardTimer};
@@ -42,13 +38,12 @@ use tq_tquad::{TquadOptions, TquadProfile, TquadTool};
 use tq_vm::{InstrMode, Vm};
 use tq_wfs::{WfsApp, WfsConfig};
 
-/// Wall-time reduction floor for sample and converge vs full (geometric
-/// mean across workloads) — the acceptance criterion in `verify.sh`.
+/// Wall-time reduction floor for sample vs full (geometric mean across
+/// workloads) — the acceptance criterion in `verify.sh`.
 const SPEEDUP_FLOOR: f64 = 1.3;
 
-/// Documented max per-kernel bandwidth error bounds (docs/ACCURACY.md).
+/// Documented max per-kernel bandwidth error bound (docs/ACCURACY.md).
 const SAMPLE_ERR_BOUND: f64 = 0.25;
-const CONVERGE_ERR_BOUND: f64 = 0.25;
 
 /// Gating-slice length and tQUAD slice interval (kept equal so one gating
 /// slice maps onto one tool slice).
@@ -61,8 +56,7 @@ const TRAFFIC_SHARE_FLOOR: f64 = 0.01;
 
 /// A steady multi-kernel streaming mix: three kernels with distinct
 /// bandwidth signatures, interleaved at sub-slice granularity so every
-/// gating slice sees the same blend — the regime convergence gating is
-/// designed for.
+/// gating slice sees the same blend.
 fn kernelc_stream() -> Vm {
     let mut m = Module::new("stream_mix");
     m.global("a", ElemTy::F64, 64, GlobalInit::Zero);
@@ -217,28 +211,42 @@ fn max_kernel_error(full: &TquadProfile, recon: &TquadProfile) -> f64 {
     max_err
 }
 
+/// `cpu=<model> cores=<n>`: the CPU model from `/proc/cpuinfo` where the
+/// kernel exposes it, so the TSV says which host its timings come from.
+fn host() -> String {
+    let model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|c| {
+            c.lines()
+                .find_map(|l| l.strip_prefix("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, m)| m.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".into());
+    let cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    format!("cpu={model} cores={cores}")
+}
+
 fn main() {
     let iters: usize = std::env::var("TQ_BENCH_ITERS")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(5);
     let sample: InstrMode = InstrMode::parse(&format!("sample:8/{SLICE}@0")).expect("spec");
-    let converge: InstrMode = InstrMode::parse(&format!("converge:0.1,6/{SLICE}")).expect("spec");
     let filter_all: InstrMode = InstrMode::parse("filter:*").expect("spec");
 
     println!("instr_accuracy: best of {iters}, tquad interval {SLICE}, vm.run() only");
-    let mut tsv = String::from(
-        "workload\tmode\twall_s\tspeedup\tcoverage_ppm\tmax_kernel_err\tfilled_slices\tmeasured_slices\n",
+    let mut tsv = format!(
+        "# {}\nworkload\tmode\twall_s\tspeedup\tcoverage_ppm\tmax_kernel_err\tfilled_slices\tmeasured_slices\n",
+        host()
     );
-    let mut sample_speedups = Vec::new();
-    let mut converge_speedups = Vec::new();
-    let mut sample_max_err = 0.0f64;
-    let mut converge_max_err = 0.0f64;
-    let mut kernelc_converged = false;
+    let mut speedups = Vec::new();
+    let mut max_err = 0.0f64;
 
     for w in workloads() {
-        let mut runs =
-            best_of_interleaved(&w, &[None, Some(&sample), Some(&converge)], iters).into_iter();
+        let mut runs = best_of_interleaved(&w, &[None, Some(&sample)], iters).into_iter();
         let full = runs.next().expect("full run");
         assert!(full.profile.instr.is_none(), "full profile must be exact");
 
@@ -256,85 +264,53 @@ fn main() {
             full.wall.as_secs_f64()
         ));
 
-        for label in ["sample", "converge"] {
-            let r = runs.next().expect("mode run");
-            let note = r
-                .profile
-                .instr
-                .as_ref()
-                .unwrap_or_else(|| panic!("{}: {label} profile lacks a recon note", w.name));
-            let speedup = full.wall.as_secs_f64() / r.wall.as_secs_f64();
-            let err = max_kernel_error(&full.profile, &r.profile);
-            println!(
-                "  {:<14} {label:<8} wall {:>9.4}s  speedup {speedup:>5.2}x  coverage {:>5.1}%  max kernel err {:>6.2}%",
-                w.name,
-                r.wall.as_secs_f64(),
-                note.coverage() * 100.0,
-                err * 100.0,
-            );
-            tsv.push_str(&format!(
-                "{}\t{label}\t{:.6}\t{speedup:.3}\t{}\t{err:.6}\t{}\t{}\n",
-                w.name,
-                r.wall.as_secs_f64(),
-                note.coverage_ppm,
-                note.filled_slices,
-                note.measured_slices,
-            ));
-            match label {
-                "sample" => {
-                    sample_speedups.push(speedup);
-                    sample_max_err = sample_max_err.max(err);
-                }
-                _ => {
-                    converge_speedups.push(speedup);
-                    converge_max_err = converge_max_err.max(err);
-                    if w.name == "kernelc_stream" && note.coverage_ppm < 1_000_000 {
-                        kernelc_converged = true;
-                    }
-                }
-            }
-        }
+        let r = runs.next().expect("sample run");
+        let note = r
+            .profile
+            .instr
+            .as_ref()
+            .unwrap_or_else(|| panic!("{}: sample profile lacks a recon note", w.name));
+        let speedup = full.wall.as_secs_f64() / r.wall.as_secs_f64();
+        let err = max_kernel_error(&full.profile, &r.profile);
+        println!(
+            "  {:<14} sample wall {:>9.4}s  speedup {speedup:>5.2}x  coverage {:>5.1}%  max kernel err {:>6.2}%",
+            w.name,
+            r.wall.as_secs_f64(),
+            note.coverage() * 100.0,
+            err * 100.0,
+        );
+        tsv.push_str(&format!(
+            "{}\tsample\t{:.6}\t{speedup:.3}\t{}\t{err:.6}\t{}\t{}\n",
+            w.name,
+            r.wall.as_secs_f64(),
+            note.coverage_ppm,
+            note.filled_slices,
+            note.measured_slices,
+        ));
+        speedups.push(speedup);
+        max_err = max_err.max(err);
     }
 
-    let geomean =
-        |v: &[f64]| -> f64 { (v.iter().map(|s| s.ln()).sum::<f64>() / v.len() as f64).exp() };
-    let sample_gm = geomean(&sample_speedups);
-    let converge_gm = geomean(&converge_speedups);
+    let geomean = (speedups.iter().map(|s| s.ln()).sum::<f64>() / speedups.len() as f64).exp();
+    println!("  geomean speedup: sample {geomean:.2}x (floor {SPEEDUP_FLOOR}x)");
     println!(
-        "  geomean speedup: sample {sample_gm:.2}x, converge {converge_gm:.2}x (floor {SPEEDUP_FLOOR}x)"
-    );
-    println!(
-        "  max kernel err: sample {:.2}% (bound {:.0}%), converge {:.2}% (bound {:.0}%)",
-        sample_max_err * 100.0,
+        "  max kernel err: sample {:.2}% (bound {:.0}%)",
+        max_err * 100.0,
         SAMPLE_ERR_BOUND * 100.0,
-        converge_max_err * 100.0,
-        CONVERGE_ERR_BOUND * 100.0,
     );
     tsv.push_str(&format!(
-        "# sample_geomean_speedup={sample_gm:.3} converge_geomean_speedup={converge_gm:.3} floor={SPEEDUP_FLOOR}\n\
-         # sample_max_err={sample_max_err:.6} bound={SAMPLE_ERR_BOUND} converge_max_err={converge_max_err:.6} bound={CONVERGE_ERR_BOUND}\n"
+        "# sample_geomean_speedup={geomean:.3} floor={SPEEDUP_FLOOR}\n\
+         # sample_max_err={max_err:.6} bound={SAMPLE_ERR_BOUND}\n"
     ));
     save("instr_accuracy.tsv", &tsv);
 
     assert!(
-        kernelc_converged,
-        "convergence never engaged on the steady kernelc workload"
+        geomean >= SPEEDUP_FLOOR,
+        "sample geomean speedup {geomean:.2}x is below the {SPEEDUP_FLOOR}x floor"
     );
     assert!(
-        sample_gm >= SPEEDUP_FLOOR,
-        "sample geomean speedup {sample_gm:.2}x is below the {SPEEDUP_FLOOR}x floor"
-    );
-    assert!(
-        converge_gm >= SPEEDUP_FLOOR,
-        "converge geomean speedup {converge_gm:.2}x is below the {SPEEDUP_FLOOR}x floor"
-    );
-    assert!(
-        sample_max_err <= SAMPLE_ERR_BOUND,
-        "sample max kernel error {sample_max_err:.4} exceeds the {SAMPLE_ERR_BOUND} bound"
-    );
-    assert!(
-        converge_max_err <= CONVERGE_ERR_BOUND,
-        "converge max kernel error {converge_max_err:.4} exceeds the {CONVERGE_ERR_BOUND} bound"
+        max_err <= SAMPLE_ERR_BOUND,
+        "sample max kernel error {max_err:.4} exceeds the {SAMPLE_ERR_BOUND} bound"
     );
     println!("  guard: PASS");
 }

@@ -1,10 +1,10 @@
-//! Ablation: the two phase-detection strategies (activity-vector cosine
-//! with span-overlap rescue vs pure interval IoU) on synthetic profiles of
-//! growing size. Plain timing harness (`tq_bench::bench`).
+//! Phase detection (activity-vector cosine with span-overlap rescue) on
+//! synthetic profiles of growing size. Plain timing harness
+//! (`tq_bench::bench`).
 
 use tq_bench::bench;
 use tq_isa::RoutineId;
-use tq_tquad::{KernelProfile, KernelSeries, PhaseDetector, PhaseStrategy, TquadProfile};
+use tq_tquad::{KernelProfile, KernelSeries, PhaseDetector, TquadProfile};
 
 /// A synthetic profile: `k` kernels per phase, `p` phases laid out
 /// sequentially over `slices_per_phase` each.
@@ -47,16 +47,9 @@ fn main() {
         bench(&format!("phase_detection/activity_cosine/{label}"), || {
             PhaseDetector::default().detect(&profile).len()
         });
-        bench(&format!("phase_detection/interval_iou/{label}"), || {
-            let det = PhaseDetector {
-                strategy: PhaseStrategy::IntervalOverlap { threshold: 0.3 },
-                ..PhaseDetector::default()
-            };
-            det.detect(&profile).len()
-        });
     }
 
-    // Correctness-of-ablation sanity: both strategies find the layout.
+    // Sanity: the detector finds the layout.
     let p = synthetic(5, 4, 10_000);
     assert_eq!(PhaseDetector::default().detect(&p).len(), 5);
 }

@@ -13,7 +13,7 @@
 //!            [--chart read|write] [--kernels a,b,c] [--width N] [--jobs N]
 //! tq quad    [--scale …] [--exclude-stack] [--exclude-libs] [--dot PATH]
 //!            [--jobs N]
-//! tq phases  [--scale …] [--interval N] [--strategy cosine|interval] [--jobs N]
+//! tq phases  [--scale …] [--interval N] [--jobs N]
 //! tq intervals [--scale …] [--interval N] [--kernel NAME] [--gap N] [--jobs N]
 //!
 //! every profiling subcommand (gprof/tquad/quad/phases/intervals) also
@@ -26,7 +26,7 @@
 //!            [--max-conns N] [--read-timeout-ms N] [--slow-job-ms N]
 //!            [--peers A,B,C] [--advertise HOST:PORT] [--probe-interval-ms N]
 //!
-//! every VM-running subcommand: [--instr full|filter:…|sample:…|converge:…]
+//! every VM-running subcommand: [--instr full|filter:…|sample:…]
 //! tq submit  [--addr HOST:PORT] [--tool tquad|quad|gprof|phases]
 //!            [--app …] [--scale …] [--interval N] [--exclude-stack]
 //!            [--exclude-libs|--track-libs] [--retries N] [--timeout SECS]
@@ -67,8 +67,7 @@ use tq_profd::{
 use tq_quad::{qdu_graph, QuadOptions, QuadTool};
 use tq_report::Json;
 use tq_tquad::{
-    figure_chart, phase_table, LibPolicy, Measure, PhaseDetector, PhaseStrategy, TquadOptions,
-    TquadTool,
+    figure_chart, phase_table, LibPolicy, Measure, PhaseDetector, TquadOptions, TquadTool,
 };
 use tq_wfs::{WfsApp, WfsConfig};
 
@@ -143,7 +142,7 @@ impl App {
     }
 }
 
-/// Parse `--instr full|filter:…|sample:…|converge:…` (grammar in
+/// Parse `--instr full|filter:…|sample:…` (grammar in
 /// docs/CLI.md, accuracy tradeoffs in docs/ACCURACY.md). Reduced modes
 /// change what tools observe: they trade instrumentation coverage for
 /// speed and attach an `instr` note to the resulting profile. `None`
@@ -319,10 +318,9 @@ fn usage() -> String {
      \u{20}               reader — one decoded chunk at a time, larger-than-RAM\n\
      \u{20}               safe — instead of building and running the app)\n\
      \u{20}               --instr full|filter:a,b|filter:!a,b|filter:*|\n\
-     \u{20}               sample:K[/SLICE][@SEED]|converge:TOL,N[,R][/SLICE]\n\
-     \u{20}               (reduced instrumentation on live runs: per-routine\n\
-     \u{20}               filters, every-k-th-slice sampling, convergence\n\
-     \u{20}               gating; parts compose with `+`; profiles carry an\n\
+     \u{20}               sample:K[/SLICE][@SEED] (reduced instrumentation on\n\
+     \u{20}               live runs: per-routine filters and every-k-th-slice\n\
+     \u{20}               sampling; parts compose with `+`; profiles carry an\n\
      \u{20}               `instr` note and scale counters back — accuracy\n\
      \u{20}               bounds and cookbook in docs/ACCURACY.md)\n\
      \u{20}               --trace-out FILE (write a Chrome trace of this run's\n\
@@ -332,7 +330,7 @@ fn usage() -> String {
      tquad options:  --interval N --exclude-stack --exclude-libs --chart read|write\n\
      \u{20}               --kernels a,b,c --width N\n\
      quad options:   --exclude-stack --exclude-libs --dot PATH\n\
-     phases options: --interval N --strategy cosine|interval\n\
+     phases options: --interval N\n\
      intervals opts: --interval N --kernel NAME --gap N\n\
      gprof options:  --interval N --track-libs\n\
      disasm options: --routine NAME\n\
@@ -465,12 +463,10 @@ fn run(argv: &[String]) -> Result<(), Failure> {
             );
             if let Some(info) = vm.instr_info() {
                 println!(
-                    "instr {}: {:.1}% of instructions covered, {} filtered routine(s), \
-                     {} gap(s)",
+                    "instr {}: {:.1}% of instructions covered, {} filtered routine(s)",
                     info.spec,
                     info.coverage() * 100.0,
-                    info.filtered.len(),
-                    info.gaps.len()
+                    info.filtered.len()
                 );
             }
         }
@@ -489,7 +485,7 @@ fn run(argv: &[String]) -> Result<(), Failure> {
             let mut vm = app.make_vm()?;
             // A reduced-mode capture records fewer memory events and
             // carries its mode metadata in the file's TQIM tail, so every
-            // later replay reconstructs with the gap log in hand.
+            // later replay reconstructs with the sampling pattern in hand.
             if let Some(mode) = instr_arg(&args)? {
                 vm.set_instr_mode(mode)?;
             }
@@ -520,10 +516,9 @@ fn run(argv: &[String]) -> Result<(), Failure> {
             );
             if let Some(info) = vm.instr_info() {
                 eprintln!(
-                    "# instr {}: {:.1}% of instructions covered, {} gap(s)",
+                    "# instr {}: {:.1}% of instructions covered",
                     info.spec,
-                    info.coverage() * 100.0,
-                    info.gaps.len()
+                    info.coverage() * 100.0
                 );
             }
         }
@@ -668,17 +663,7 @@ fn run(argv: &[String]) -> Result<(), Failure> {
                 ),
             )?
             .into_profile();
-            let detector = match args.get("strategy").unwrap_or("cosine") {
-                "cosine" => PhaseDetector::default(),
-                "interval" => PhaseDetector {
-                    strategy: PhaseStrategy::IntervalOverlap { threshold: 0.3 },
-                    ..PhaseDetector::default()
-                },
-                other => {
-                    return Err(format!("unknown --strategy `{other}` (cosine|interval)").into())
-                }
-            };
-            let phases = detector.detect(&profile);
+            let phases = PhaseDetector::default().detect(&profile);
             println!("{}", phase_table(&profile, &phases).render());
         }
         "intervals" => {

@@ -361,21 +361,15 @@ mod tests {
     #[test]
     fn gprof_is_exact_under_slice_gating() {
         // Only memory events are gated; gprof never looks at them, so its
-        // output is byte-identical under sample and converge.
+        // output is byte-identical under sampling.
         let (_, trace) = tiny_capture();
         let full = JobSpec::new(AppId::Wfs, Scale::Tiny, ToolId::Gprof);
         let baseline = run_tool(&full, &trace, 1).unwrap().render();
-        for spec in ["sample:4/20000@7", "converge:0.05,4/20000"] {
-            let job = JobSpec {
-                instr: spec.into(),
-                ..full.clone()
-            };
-            assert_eq!(
-                baseline,
-                run_tool(&job, &trace, 1).unwrap().render(),
-                "{spec}"
-            );
-        }
+        let job = JobSpec {
+            instr: "sample:4/20000@7".into(),
+            ..full.clone()
+        };
+        assert_eq!(baseline, run_tool(&job, &trace, 1).unwrap().render());
     }
 
     #[test]

@@ -628,6 +628,9 @@ mod tests {
         assert_eq!(spec.instr, "sample:4/20000@0");
         // …and garbage fails at decode, not deep inside a worker.
         assert!(Request::decode(r#"{"type":"submit","tool":"tquad","instr":"sample:0"}"#).is_err());
+        // Convergence gating was removed; its spec is garbage too.
+        let converge = r#"{"type":"submit","tool":"tquad","instr":"converge:0.1,6"}"#;
+        assert!(Request::decode(converge).is_err());
     }
 
     #[test]

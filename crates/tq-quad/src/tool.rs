@@ -122,8 +122,8 @@ impl QuadTool {
         }
     }
 
-    /// Consume the tool into its results. For a gated run (`--instr
-    /// sample:…`/`converge:…`) the byte totals (`IN`, `OUT`, binding
+    /// Consume the tool into its results. For a sampled run (`--instr
+    /// sample:…`) the byte totals (`IN`, `OUT`, binding
     /// bytes) are scaled by the inverse observed coverage — they are
     /// volume estimates — while the UnMA counts stay as measured: unseen
     /// addresses cannot be invented, so those are reported as lower

@@ -11,7 +11,7 @@
 //!
 //! * [`TquadTool`] — the VM plug-in ([`tq_vm::Tool`]);
 //! * [`TquadProfile`] / [`BandwidthStats`] — results and derived statistics;
-//! * [`PhaseDetector`] — phase identification (two clustering strategies);
+//! * [`PhaseDetector`] — phase identification (activity clustering);
 //! * [`report`] — Table IV and Figure 6/7 rendering.
 
 pub mod callstack;
@@ -25,7 +25,7 @@ pub mod tool;
 
 pub use callstack::CallStack;
 pub use options::{LibPolicy, TquadOptions};
-pub use phase::{Phase, PhaseDetector, PhaseStrategy};
+pub use phase::{Phase, PhaseDetector};
 pub use profile::{ActivityInterval, BandwidthStats, KernelProfile, TquadProfile};
 pub use recon::{reconstruct_series, ReconNote};
 pub use report::{figure_chart, phase_table, profile_json, Measure};

@@ -5,45 +5,24 @@
 //! kernels that are active at the same time interval are possibly relevant
 //! (communicating)." (§V)
 //!
-//! Two clustering strategies are provided (and compared in the ablation
-//! benches):
-//!
-//! * [`PhaseStrategy::ActivityCosine`] — each kernel becomes a bucketed
-//!   activity vector over the run; agglomerative average-linkage clustering
-//!   by cosine similarity. Robust to kernels that are sparsely active
-//!   inside their phase (`AudioIo_setFrames` is active in only 616 of
-//!   ~578 000 phase slices in the paper's Table IV).
-//! * [`PhaseStrategy::IntervalOverlap`] — clustering by
-//!   intersection-over-union of the kernels' (outlier-trimmed) activity
-//!   intervals; simpler, but brief out-of-phase activations must be trimmed
-//!   first (the paper notes `r2c` "gets active in the 145th time slice for
-//!   a very short time and then becomes silent until the 14663th").
+//! Each kernel becomes a bucketed activity vector over the run, and
+//! agglomerative average-linkage clustering merges kernels by cosine
+//! similarity of those vectors or by containment of their activity
+//! intervals. The intervals are quantile-trimmed first, which ignores
+//! brief out-of-phase activations (the paper notes `r2c` "gets active in
+//! the 145th time slice for a very short time and then becomes silent
+//! until the 14663th").
 
 use crate::profile::TquadProfile;
 use tq_isa::RoutineId;
 
-/// Clustering strategy for phase detection.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum PhaseStrategy {
-    /// Bucketed activity-vector cosine clustering.
-    ActivityCosine {
-        /// Number of time buckets the run is divided into.
-        buckets: usize,
-        /// Minimum cosine similarity to merge two clusters.
-        threshold: f64,
-    },
-    /// Interval intersection-over-union clustering.
-    IntervalOverlap {
-        /// Minimum IoU to merge two clusters.
-        threshold: f64,
-    },
-}
-
 /// Phase detector configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct PhaseDetector {
-    /// Clustering strategy.
-    pub strategy: PhaseStrategy,
+    /// Number of time buckets the run is divided into.
+    pub buckets: usize,
+    /// Minimum similarity to merge two clusters.
+    pub threshold: f64,
     /// Quantile trimmed from each end of a kernel's active-slice list when
     /// computing its robust interval (ignores brief out-of-span
     /// activations).
@@ -60,10 +39,8 @@ pub struct PhaseDetector {
 impl Default for PhaseDetector {
     fn default() -> Self {
         PhaseDetector {
-            strategy: PhaseStrategy::ActivityCosine {
-                buckets: 1024,
-                threshold: 0.5,
-            },
+            buckets: 1024,
+            threshold: 0.5,
             trim_quantile: 0.01,
             include_stack: true,
             max_span_fraction: 0.95,
@@ -137,16 +114,10 @@ impl PhaseDetector {
             if span_frac >= self.max_span_fraction {
                 continue;
             }
-            let vector = match self.strategy {
-                PhaseStrategy::ActivityCosine { buckets, .. } => {
-                    bucket_vector(&indices, n_slices, buckets)
-                }
-                PhaseStrategy::IntervalOverlap { .. } => Vec::new(),
-            };
             items.push(Item {
                 rtn: k.rtn,
                 interval,
-                vector,
+                vector: bucket_vector(&indices, n_slices, self.buckets),
                 weight: 1,
             });
         }
@@ -156,16 +127,12 @@ impl PhaseDetector {
 
         // Agglomerative clustering: clusters are lists of item indices.
         let mut clusters: Vec<Vec<usize>> = (0..items.len()).map(|i| vec![i]).collect();
-        let threshold = match self.strategy {
-            PhaseStrategy::ActivityCosine { threshold, .. } => threshold,
-            PhaseStrategy::IntervalOverlap { threshold } => threshold,
-        };
         loop {
             let mut best: Option<(usize, usize, f64)> = None;
             for i in 0..clusters.len() {
                 for j in i + 1..clusters.len() {
-                    let sim = self.cluster_similarity(&clusters[i], &clusters[j], &items);
-                    if sim >= threshold && best.is_none_or(|(_, _, s)| sim > s) {
+                    let sim = cluster_similarity(&clusters[i], &clusters[j], &items);
+                    if sim >= self.threshold && best.is_none_or(|(_, _, s)| sim > s) {
                         best = Some((i, j, sim));
                     }
                 }
@@ -206,30 +173,20 @@ impl PhaseDetector {
         phases.sort_by_key(|p| p.span);
         phases
     }
+}
 
-    fn cluster_similarity(&self, a: &[usize], b: &[usize], items: &[Item]) -> f64 {
-        match self.strategy {
-            PhaseStrategy::ActivityCosine { .. } => {
-                // Hybrid similarity: bucketed-activity cosine OR interval
-                // containment. The cosine separates time-disjoint phases;
-                // the overlap coefficient rescues kernels that are only
-                // sparsely active inside a dense phase (`AudioIo_setFrames`
-                // touches memory in 616 of ~578 000 slices in Table IV) and
-                // whose activity vectors are therefore nearly orthogonal to
-                // their phase-mates.
-                let va = sum_vectors(a, items);
-                let vb = sum_vectors(b, items);
-                let ia = union_interval(a, items);
-                let ib = union_interval(b, items);
-                cosine(&va, &vb).max(overlap_coefficient(ia, ib))
-            }
-            PhaseStrategy::IntervalOverlap { .. } => {
-                let ia = union_interval(a, items);
-                let ib = union_interval(b, items);
-                iou(ia, ib)
-            }
-        }
-    }
+/// Hybrid similarity: bucketed-activity cosine OR interval containment.
+/// The cosine separates time-disjoint phases; the overlap coefficient
+/// rescues kernels that are only sparsely active inside a dense phase
+/// (`AudioIo_setFrames` touches memory in 616 of ~578 000 slices in Table
+/// IV) and whose activity vectors are therefore nearly orthogonal to their
+/// phase-mates.
+fn cluster_similarity(a: &[usize], b: &[usize], items: &[Item]) -> f64 {
+    let va = sum_vectors(a, items);
+    let vb = sum_vectors(b, items);
+    let ia = union_interval(a, items);
+    let ib = union_interval(b, items);
+    cosine(&va, &vb).max(overlap_coefficient(ia, ib))
 }
 
 /// Quantile-trimmed first/last active slice; `None` for an empty list (a
@@ -311,18 +268,6 @@ fn overlap_coefficient(a: (u64, u64), b: (u64, u64)) -> f64 {
     inter as f64 / min_len as f64
 }
 
-fn iou(a: (u64, u64), b: (u64, u64)) -> f64 {
-    let inter_lo = a.0.max(b.0);
-    let inter_hi = a.1.min(b.1);
-    let inter = if inter_hi >= inter_lo {
-        inter_hi - inter_lo + 1
-    } else {
-        0
-    };
-    let union = a.1.max(b.1) - a.0.min(b.0) + 1;
-    inter as f64 / union as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -373,24 +318,16 @@ mod tests {
             ],
             1001,
         );
-        for det in [
-            PhaseDetector::default(),
-            PhaseDetector {
-                strategy: PhaseStrategy::IntervalOverlap { threshold: 0.3 },
-                ..PhaseDetector::default()
-            },
-        ] {
-            let phases = det.detect(&p);
-            assert_eq!(phases.len(), 4, "{:?} → {:?}", det.strategy, phases);
-            assert_eq!(phases[0].kernels.len(), 2);
-            assert_eq!(phases[2].kernels.len(), 3);
-            let (lo, hi) = phases[3].span;
-            assert!(
-                (510..=520).contains(&lo) && hi >= 985,
-                "save span ~(510,1000): {:?}",
-                (lo, hi)
-            );
-        }
+        let phases = PhaseDetector::default().detect(&p);
+        assert_eq!(phases.len(), 4, "{phases:?}");
+        assert_eq!(phases[0].kernels.len(), 2);
+        assert_eq!(phases[2].kernels.len(), 3);
+        let (lo, hi) = phases[3].span;
+        assert!(
+            (510..=520).contains(&lo) && hi >= 985,
+            "save span ~(510,1000): {:?}",
+            (lo, hi)
+        );
     }
 
     #[test]
@@ -478,9 +415,7 @@ mod tests {
     }
 
     #[test]
-    fn iou_and_cosine_helpers() {
-        assert!((iou((0, 9), (5, 14)) - 5.0 / 15.0).abs() < 1e-12);
-        assert_eq!(iou((0, 4), (10, 14)), 0.0);
+    fn overlap_and_cosine_helpers() {
         assert_eq!(
             overlap_coefficient((100, 200), (0, 1000)),
             1.0,

@@ -1,18 +1,16 @@
-//! Reconstruction of full-run bandwidth series from reduced-instrumentation
-//! captures (`--instr sample:…` / `converge:…`).
+//! Reconstruction of full-run bandwidth series from sampled captures
+//! (`--instr sample:…`).
 //!
-//! A gated run records memory traffic only in *live* gating slices: under
-//! sampling every `period`-th slice of the deterministic phase, under
-//! convergence gating every slice outside a routine's recorded gaps. The
-//! estimator here rebuilds a per-tool-slice series from those observations:
+//! A sampled run records memory traffic only in *live* gating slices:
+//! every `period`-th slice of the deterministic phase. The estimator here
+//! rebuilds a per-tool-slice series from those observations:
 //!
 //! * a tool slice whose instruction range is **partially** live scales its
 //!   measured counters by `total/live` instruction weight (the measured
 //!   portion is treated as representative of the whole slice);
 //! * a tool slice whose range is **fully dead** is filled by carrying the
-//!   previous reconstructed slice forward (for convergence gaps this is the
-//!   model that justified gating: the profile was stable; for sampling it is
-//!   a zero-order hold between observations);
+//!   previous reconstructed slice forward (a zero-order hold between
+//!   observations);
 //! * slices that were measured live but saw no traffic stay empty — and
 //!   reset the carry, so activity never bleeds past an observed silence.
 //!
@@ -57,11 +55,9 @@ fn scale(v: u64, live: u64, total: u64) -> u64 {
     ((v as u128 * total as u128 + (live / 2) as u128) / live as u128) as u64
 }
 
-/// Live instruction weight of one routine inside the instruction range
-/// `[lo, hi)`: instructions belonging to gating slices that were sampled
-/// live and not inside any of the routine's convergence gaps. `gaps` is
-/// the routine's gap list in slice order (empty when not converge-gated).
-fn live_weight(info: &InstrInfo, gaps: &[(u64, u64)], lo: u64, hi: u64) -> u64 {
+/// Live instruction weight inside the instruction range `[lo, hi)`:
+/// instructions belonging to gating slices that were sampled live.
+fn live_weight(info: &InstrInfo, lo: u64, hi: u64) -> u64 {
     let ls = info.slice_len;
     debug_assert!(ls > 0);
     let mut live = 0u64;
@@ -69,8 +65,7 @@ fn live_weight(info: &InstrInfo, gaps: &[(u64, u64)], lo: u64, hi: u64) -> u64 {
     while g * ls < hi {
         let s_lo = (g * ls).max(lo);
         let s_hi = ((g + 1) * ls).min(hi);
-        let gated = gaps.iter().any(|&(start, end)| g >= start && g < end);
-        if info.sample_live(g) && !gated {
+        if info.sample_live(g) {
             live += s_hi - s_lo;
         }
         g += 1;
@@ -79,40 +74,23 @@ fn live_weight(info: &InstrInfo, gaps: &[(u64, u64)], lo: u64, hi: u64) -> u64 {
 }
 
 /// Reconstruct one kernel's series at tool-slice granularity (`interval`
-/// instructions per slice). `rtn` selects the routine's convergence gaps
-/// inside `info` (`u32::MAX` for code outside all symbols). Returns the
+/// instructions per slice) over its observed activity span. Returns the
 /// reconstructed series plus `(filled, measured)` tool-slice counts.
 pub fn reconstruct_series(
     series: &KernelSeries,
     interval: u64,
     info: &InstrInfo,
-    rtn: u32,
 ) -> (KernelSeries, u64, u64) {
     if info.slice_len == 0 {
         return (series.clone(), 0, 0);
     }
-    let gaps: Vec<(u64, u64)> = info
-        .gaps_of(rtn)
-        .map(|g| (g.start_slice, g.end_slice))
-        .collect();
-
-    // Reconstruct over the observed activity span, extended through any
-    // trailing convergence gap (a routine gated until run end was active
-    // past its last recorded entry).
     let entries = series.entries();
-    let Some(first) = entries.first().map(|e| e.slice) else {
+    let (Some(first), Some(last)) = (entries.first(), entries.last()) else {
         return (KernelSeries::new(), 0, 0);
     };
-    let last_measured = entries.last().expect("non-empty").slice;
+    let first = first.slice;
     let n_tool = info.total_icount.div_ceil(interval).max(1);
-    let last_gap_slice = gaps
-        .iter()
-        .map(|&(_, end)| (end.saturating_mul(info.slice_len)).div_ceil(interval))
-        .max()
-        .unwrap_or(0);
-    let last = last_measured
-        .max(last_gap_slice.saturating_sub(1))
-        .min(n_tool - 1);
+    let last = last.slice.min(n_tool - 1);
 
     let mut out = KernelSeries::new();
     let mut rebuilt: Vec<SliceEntry> = Vec::new();
@@ -124,7 +102,7 @@ pub fn reconstruct_series(
         let lo = t * interval;
         let hi = ((t + 1) * interval).min(info.total_icount.max(lo + 1));
         let total = hi - lo;
-        let live = live_weight(info, &gaps, lo, hi);
+        let live = live_weight(info, lo, hi);
         while idx < entries.len() && entries[idx].slice < t {
             idx += 1;
         }
@@ -175,7 +153,6 @@ pub fn reconstruct_series(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tq_vm::InstrGap;
 
     fn info_sampling(period: u64, offset_seedless: bool) -> InstrInfo {
         // Build an info whose sample_offset is 0 for predictable tests.
@@ -186,7 +163,6 @@ mod tests {
             sample_period: period,
             sample_offset: 0,
             filtered: Vec::new(),
-            gaps: Vec::new(),
             total_icount: 1000,
         }
     }
@@ -199,7 +175,7 @@ mod tests {
         s.record(0, true, 40, false); // measured in live half
         s.record(2, true, 10, false);
         let info = info_sampling(2, true);
-        let (r, filled, measured) = reconstruct_series(&s, 200, &info, u32::MAX);
+        let (r, filled, measured) = reconstruct_series(&s, 200, &info);
         // Slice 0: 40 bytes over half the slice → 80 estimated.
         assert_eq!(r.entries()[0].r_incl, 80);
         assert_eq!(r.entries()[0].r_excl, 80);
@@ -219,7 +195,7 @@ mod tests {
         s.record(0, true, 8, false);
         s.record(2, true, 8, false);
         let info = info_sampling(2, true);
-        let (r, filled, measured) = reconstruct_series(&s, 100, &info, u32::MAX);
+        let (r, filled, measured) = reconstruct_series(&s, 100, &info);
         let slices: Vec<u64> = r.entries().iter().map(|e| e.slice).collect();
         assert_eq!(slices, vec![0, 1, 2], "dead slice 1 carry-filled");
         assert_eq!(r.entries()[1].r_incl, 8);
@@ -232,45 +208,11 @@ mod tests {
         s.record(0, true, 8, false);
         s.record(6, true, 8, false);
         let info = info_sampling(2, true);
-        let (r, _, _) = reconstruct_series(&s, 100, &info, u32::MAX);
+        let (r, _, _) = reconstruct_series(&s, 100, &info);
         // Slice 1 (dead) is filled; slice 2 is live-and-silent, so slices
         // 3 and 5 (dead) must NOT inherit slice 0's bytes.
         let slices: Vec<u64> = r.entries().iter().map(|e| e.slice).collect();
         assert_eq!(slices, vec![0, 1, 6]);
-    }
-
-    #[test]
-    fn converge_gap_is_carry_filled_per_routine() {
-        let mut s = KernelSeries::new();
-        s.record(0, true, 8, false);
-        s.record(1, true, 8, false);
-        // Gated from gating slice 2 to 8 for routine 7; run is 1000 instrs.
-        let info = InstrInfo {
-            spec: "converge:0.1,2/100".into(),
-            slice_len: 100,
-            sample_period: 0,
-            sample_offset: 0,
-            filtered: Vec::new(),
-            gaps: vec![InstrGap {
-                rtn: 7,
-                start_slice: 2,
-                end_slice: 8,
-            }],
-            total_icount: 1000,
-        };
-        let (r, filled, measured) = reconstruct_series(&s, 100, &info, 7);
-        let slices: Vec<u64> = r.entries().iter().map(|e| e.slice).collect();
-        assert_eq!(
-            slices,
-            vec![0, 1, 2, 3, 4, 5, 6, 7],
-            "gap filled to its end"
-        );
-        assert!(r.entries()[2..].iter().all(|e| e.r_incl == 8));
-        assert_eq!((filled, measured), (6, 2));
-        // A different routine sees no gaps: its series is untouched.
-        let (r2, f2, _) = reconstruct_series(&s, 100, &info, 3);
-        assert_eq!(r2.entries().len(), 2);
-        assert_eq!(f2, 0);
     }
 
     #[test]
@@ -280,7 +222,7 @@ mod tests {
         s.record(0, true, 10, true); // stack read
         s.record(0, false, 6, true); // stack write
         let info = info_sampling(2, true);
-        let (r, _, _) = reconstruct_series(&s, 200, &info, u32::MAX);
+        let (r, _, _) = reconstruct_series(&s, 200, &info);
         let e = r.entries()[0];
         assert_eq!((e.r_incl, e.r_excl), (80, 60));
         assert_eq!((e.w_incl, e.w_excl), (12, 0));
@@ -291,7 +233,7 @@ mod tests {
         let mut s = KernelSeries::new();
         s.record(4, true, 8, false);
         let info = InstrInfo::default();
-        let (r, filled, measured) = reconstruct_series(&s, 100, &info, 0);
+        let (r, filled, measured) = reconstruct_series(&s, 100, &info);
         assert_eq!(r, s);
         assert_eq!((filled, measured), (0, 0));
     }

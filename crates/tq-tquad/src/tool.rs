@@ -66,9 +66,9 @@ impl TquadTool {
     }
 
     /// Consume the tool into its measurement results. When the run used a
-    /// gating `--instr` mode (sampling or convergence), each kernel series
-    /// is reconstructed to full-run shape (see [`crate::recon`]) and the
-    /// profile carries a [`ReconNote`]; exact runs pass through untouched.
+    /// sampling `--instr` mode, each kernel series is reconstructed to
+    /// full-run shape (see [`crate::recon`]) and the profile carries a
+    /// [`ReconNote`]; exact runs pass through untouched.
     pub fn into_profile(self) -> TquadProfile {
         let gated = self.instr.as_ref().filter(|i| i.slice_len > 0).map(|i| {
             // Anchor the estimator on the true run length, not the
@@ -87,8 +87,7 @@ impl TquadTool {
             .map(|(i, name)| {
                 let series = match &gated {
                     Some(info) => {
-                        let (s, f, m) =
-                            reconstruct_series(&self.series[i], interval, info, i as u32);
+                        let (s, f, m) = reconstruct_series(&self.series[i], interval, info);
                         filled += f;
                         measured += m;
                         s

@@ -15,7 +15,7 @@ use tq_isa::RoutineId;
 use tq_quad::{QuadOptions, QuadTool};
 use tq_tquad::{TquadOptions, TquadTool};
 use tq_trace::{StreamingTrace, Trace, TraceError, TraceRecorder};
-use tq_vm::{Event, Tool};
+use tq_vm::{Event, InstrInfo, Tool};
 
 /// Chunk length for the synthetic traces: a 1 200-event trace gets 8
 /// chunks, so every sharded path really shards.
@@ -246,6 +246,51 @@ fn legacy_magics_are_bad_headers() {
             StreamingTrace::from_bytes(legacy),
             Err(TraceError::BadHeader)
         ));
+    }
+}
+
+#[test]
+fn reduced_mode_tails_round_trip_and_the_gap_list_layout_is_malformed() {
+    let mut trace = random_trace(0x7A11, 300);
+    let info = InstrInfo {
+        spec: "filter:!a+sample:4/100@0".into(),
+        slice_len: 100,
+        sample_period: 4,
+        sample_offset: 1,
+        filtered: vec![2],
+        total_icount: 10_000,
+    };
+    trace.instr = Some(info.clone());
+    let bytes = save_bytes(&trace);
+    let reloaded = Trace::load(&mut bytes.as_slice()).expect("reload");
+    assert_eq!(reloaded.instr.as_ref(), Some(&info));
+    // Before convergence gating was removed the tail body ended in a gap
+    // list (a u32 count, then 20 bytes per gap). Such a capture is
+    // malformed now, not a capture with its gaps silently dropped.
+    trace.instr = None;
+    let full = save_bytes(&trace);
+    for n_gaps in [0u32, 2] {
+        let mut body = info.encode();
+        body.extend_from_slice(&n_gaps.to_le_bytes());
+        body.resize(body.len() + 20 * n_gaps as usize, 7);
+        let mut old = full.clone();
+        old.extend_from_slice(b"TQIM");
+        tq_trace::varint::write_u64(&mut old, body.len() as u64);
+        old.extend_from_slice(&body);
+        assert!(
+            matches!(
+                Trace::load(&mut old.as_slice()),
+                Err(TraceError::Malformed(_))
+            ),
+            "{n_gaps} gap(s)"
+        );
+        assert!(
+            matches!(
+                StreamingTrace::from_bytes(old),
+                Err(TraceError::Malformed(_))
+            ),
+            "{n_gaps} gap(s)"
+        );
     }
 }
 

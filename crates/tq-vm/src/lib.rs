@@ -29,10 +29,7 @@ pub mod tool;
 pub mod vm;
 
 pub use hostfs::{FsMode, HostFs};
-pub use instr::{
-    ConvergeSpec, InstrEmulator, InstrGap, InstrGate, InstrInfo, InstrMode, RoutineFilter,
-    SampleSpec,
-};
+pub use instr::{InstrEmulator, InstrGate, InstrInfo, InstrMode, RoutineFilter, SampleSpec};
 pub use layout::is_stack_access;
 pub use mem::{Memory, OutOfRange};
 pub use tool::{

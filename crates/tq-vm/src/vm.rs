@@ -124,7 +124,7 @@ pub struct VmStats {
     /// `tq_vm_blocks_fused_total` metric) keep working.
     pub blocks_fused: u64,
     /// Memory events suppressed by a reduced instrumentation mode
-    /// (`--instr sample|converge`); always 0 under full instrumentation.
+    /// (`--instr sample`); always 0 under full instrumentation.
     pub instr_suppressed: u64,
 }
 
@@ -289,7 +289,7 @@ impl Vm {
             stack_limit: layout::STACK_LIMIT,
             instr_mode: InstrMode::default(),
             instr_filtered: Vec::new(),
-            instr_gate: InstrGate::new(&InstrMode::default(), 0),
+            instr_gate: InstrGate::new(&InstrMode::default()),
             instr_info: None,
         })
     }
@@ -376,25 +376,8 @@ impl Vm {
             self.blocks.is_empty() && self.icount == 0,
             "the instrumentation mode must be set before execution starts"
         );
-        let mut filtered = Vec::new();
-        if let Some(f) = &mode.filter {
-            if !f.is_all() {
-                let mut named = vec![false; self.info.routines.len()];
-                for name in &f.names {
-                    let id = self
-                        .info
-                        .routine_named(name)
-                        .ok_or_else(|| format!("unknown routine `{name}` in --instr filter"))?;
-                    named[id.idx()] = true;
-                }
-                filtered = if f.exclude {
-                    named
-                } else {
-                    named.iter().map(|&n| !n).collect()
-                };
-            }
-        }
-        self.instr_gate = InstrGate::new(&mode, self.info.routines.len());
+        let filtered = mode.filtered_routines(&self.info)?;
+        self.instr_gate = InstrGate::new(&mode);
         self.instr_filtered = filtered;
         self.instr_mode = mode;
         Ok(())
@@ -604,10 +587,10 @@ impl Vm {
         if d.hooks.is_empty() {
             return;
         }
-        // Slice gating (`--instr sample|converge`): memory events of a
-        // dead slice / gated routine are never constructed. Control events
-        // and ticks are not gated, so tool call stacks stay exact.
-        if self.instr_gate.active() && !self.instr_gate.admit(d.rtn, size, !is_prefetch) {
+        // Slice sampling (`--instr sample`): memory events of a dead slice
+        // are never constructed. Control events and ticks are not gated,
+        // so tool call stacks stay exact.
+        if !self.instr_gate.admit() {
             self.stats.instr_suppressed += 1;
             return;
         }
@@ -628,7 +611,7 @@ impl Vm {
         if d.hooks.is_empty() {
             return;
         }
-        if self.instr_gate.active() && !self.instr_gate.admit(d.rtn, size, true) {
+        if !self.instr_gate.admit() {
             self.stats.instr_suppressed += 1;
             return;
         }
@@ -684,24 +667,10 @@ impl Vm {
         crate::obs::publish(&self.stats);
         let icount = self.icount;
         // Reduced-instrumentation runs hand every tool the mode metadata
-        // (what was dropped, and where) before its Fini callback, so
-        // reconstruction happens with the final gap log in hand.
+        // before its Fini callback, so reconstruction happens with the
+        // sampling pattern in hand.
         if !self.instr_mode.is_full() {
-            let mut info = InstrInfo {
-                spec: self.instr_mode.to_string(),
-                slice_len: self.instr_mode.slice_len(),
-                sample_period: self.instr_mode.sample.map(|s| s.period).unwrap_or(0),
-                sample_offset: self.instr_mode.sample.map(|s| s.offset()).unwrap_or(0),
-                filtered: Vec::new(),
-                gaps: self.instr_gate.finish(icount),
-                total_icount: icount,
-            };
-            info.filtered = self
-                .instr_filtered
-                .iter()
-                .enumerate()
-                .filter_map(|(i, &f)| f.then_some(i as u32))
-                .collect();
+            let info = InstrInfo::of(&self.instr_mode, &self.instr_filtered, icount);
             for slot in self.tools.iter_mut() {
                 if let Some(tool) = slot.as_mut() {
                     tool.on_instr(&info);

@@ -265,6 +265,14 @@ if ./target/release/tq tquad --app img --scale tiny --instr sample:4 \
     --capture "$smoke_dir/nope.trace" > /dev/null 2>&1; then
     echo "verify: FAIL (--instr with --capture must be rejected)"; exit 1
 fi
+# Convergence gating was removed: its spec is a parse error (exit 1, no
+# panic), not a silently full run.
+if ./target/release/tq tquad --app img --scale tiny --instr converge:0.1,6 \
+    > /dev/null 2> "$smoke_dir/instr.converge.err"; then
+    echo "verify: FAIL (--instr converge:... must be rejected)"; exit 1
+fi
+grep -q "unknown --instr part \`converge\`" "$smoke_dir/instr.converge.err" \
+    || { echo "verify: FAIL (--instr converge:... is not a parse error)"; exit 1; }
 
 echo "==> docs dead-flag smoke (every --flag the docs name must exist in tq usage)"
 tq_usage=$(./target/release/tq 2>&1 || true)
@@ -275,7 +283,7 @@ for flag in $(grep -ohE -- '--[a-z][a-z-]+' docs/CLI.md docs/OPERATIONS.md docs/
         || { echo "verify: FAIL (docs name unknown flag $flag)"; exit 1; }
 done
 
-echo "==> instr_accuracy bench gate (reduced modes >= 1.3x faster within error bounds)"
+echo "==> instr_accuracy bench gate (sample >= 1.3x faster within its error bound)"
 snapshot_result instr_accuracy.tsv
 gate_ok=yes
 bench_guard instr_accuracy 3 || gate_ok=""

@@ -72,23 +72,22 @@ fn live_gated_run_matches_gate_emulation_over_the_full_capture() {
             .expect("recorder detaches")
             .into_trace()
     };
-    for spec in ["sample:3/2000@1", "converge:0.1,4/2000"] {
-        let live = tquad_profile(app.make_vm(), 2000, Some(spec));
-        let mode = InstrMode::parse(spec).expect("spec parses");
-        let canonical = mode.to_string();
-        let mut emu = InstrEmulator::new(
-            TquadTool::new(TquadOptions::default().with_interval(2000)),
-            mode,
-        );
-        trace.replay(&mut emu).expect("replays");
-        let emulated = emu.finish().expect("emulation succeeds").into_profile();
-        assert_eq!(live, emulated, "{spec}: live gating != emulated gating");
-        assert_eq!(
-            live.instr.as_ref().map(|n| n.spec.as_str()),
-            Some(canonical.as_str()),
-            "{spec}: recon note must carry the canonical spec"
-        );
-    }
+    let spec = "sample:3/2000@1";
+    let live = tquad_profile(app.make_vm(), 2000, Some(spec));
+    let mode = InstrMode::parse(spec).expect("spec parses");
+    let canonical = mode.to_string();
+    let mut emu = InstrEmulator::new(
+        TquadTool::new(TquadOptions::default().with_interval(2000)),
+        mode,
+    );
+    trace.replay(&mut emu).expect("replays");
+    let emulated = emu.finish().expect("emulation succeeds").into_profile();
+    assert_eq!(live, emulated, "{spec}: live gating != emulated gating");
+    assert_eq!(
+        live.instr.as_ref().map(|n| n.spec.as_str()),
+        Some(canonical.as_str()),
+        "{spec}: recon note must carry the canonical spec"
+    );
 }
 
 /// xorshift-free deterministic PRNG (splitmix64) for the randomized
@@ -214,71 +213,9 @@ fn sampling_error_stays_within_the_declared_bound_on_random_programs() {
     }
 }
 
-/// A workload whose per-slice profile never stops shifting: two kernels
-/// with very different bandwidth take turns, each burst spanning about
-/// two gating slices, so no routine's profile is stable for the four
-/// consecutive slices convergence would need.
-fn phase_shifting_module() -> Vm {
-    let mut m = Module::new("phase_shift");
-    m.global("big", ElemTy::F64, 512, GlobalInit::Zero);
-    m.global("out", ElemTy::F64, 1, GlobalInit::Zero);
-    m.func(Function::new("burst_write").body(vec![for_(
-        "i",
-        ci(0),
-        ci(512),
-        vec![stf(ga("big"), v("i"), i2f(v("i")))],
-    )]));
-    m.func(Function::new("burst_read").body(vec![
-        letf("acc", cf(0.0)),
-        for_(
-            "i",
-            ci(0),
-            ci(512),
-            vec![set("acc", add(v("acc"), ldf(ga("big"), v("i"))))],
-        ),
-        stf(ga("out"), ci(0), v("acc")),
-    ]));
-    m.func(Function::new("main").body(vec![for_(
-        "r",
-        ci(0),
-        ci(40),
-        vec![call("burst_write", vec![]), call("burst_read", vec![])],
-    )]));
-    let compiled = compile(&m).expect("phase module compiles");
-    Vm::new(compiled.program).expect("phase module loads")
-}
-
-#[test]
-fn convergence_never_fires_on_a_phase_shifting_workload() {
-    let full = tquad_profile(phase_shifting_module(), 2000, None);
-    let mut vm = phase_shifting_module();
-    vm.set_instr_mode(InstrMode::parse("converge:0.02,4/2000").expect("spec parses"))
-        .expect("mode accepted");
-    let h = vm.attach_tool(Box::new(TquadTool::new(
-        TquadOptions::default().with_interval(2000),
-    )));
-    vm.run(None).expect("runs");
-    let info = vm.instr_info().expect("reduced mode records info").clone();
-    assert!(
-        info.gaps.is_empty(),
-        "convergence gated a phase-shifting workload: {:?}",
-        info.gaps
-    );
-    let gated = vm
-        .detach_tool::<TquadTool>(h)
-        .expect("tool detaches")
-        .into_profile();
-    let note = gated.instr.as_ref().expect("recon note present");
-    assert_eq!(note.coverage_ppm, 1_000_000, "nothing was gated");
-    assert_eq!(
-        gated.kernels, full.kernels,
-        "with no gaps the reconstruction must be the identity"
-    );
-}
-
 /// gprof only consumes routine-enter/ret/tick events, and slice gating
-/// only drops memory events — so sample and converge leave the gprof
-/// profile byte-identical while still cutting tquad's event volume.
+/// only drops memory events — so sampling leaves the gprof profile
+/// byte-identical while still cutting tquad's event volume.
 #[test]
 fn gprof_profile_is_exact_under_slice_gating() {
     let app = WfsApp::build(WfsConfig::tiny());
@@ -296,5 +233,4 @@ fn gprof_profile_is_exact_under_slice_gating() {
     };
     let full = profile_under(None);
     assert_eq!(profile_under(Some("sample:4/2000@3")), full);
-    assert_eq!(profile_under(Some("converge:0.05,4/2000")), full);
 }
