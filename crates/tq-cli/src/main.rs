@@ -127,6 +127,38 @@ impl Args {
     }
 }
 
+/// The flags each subcommand reads, space-separated (`--no-obs` and
+/// `--trace-out` are read for every one); `None` for an unknown subcommand.
+fn known_flags(cmd: &str) -> Option<&'static str> {
+    Some(match cmd {
+        "run" => "app scale instr",
+        "capture" => "app scale instr out fuel",
+        "gprof" | "phases" => "app scale instr capture jobs exclude-libs track-libs interval",
+        "tquad" => {
+            "app scale instr capture jobs exclude-libs track-libs interval \
+             exclude-stack chart kernels width"
+        }
+        "quad" => "app scale instr capture jobs exclude-libs track-libs exclude-stack dot",
+        "intervals" => {
+            "app scale instr capture jobs exclude-libs track-libs interval \
+             exclude-stack kernel gap"
+        }
+        "disasm" => "app scale routine",
+        "serve" => {
+            "addr workers state-dir cache-mb queue timeout-ms capture-fuel max-conns \
+             read-timeout-ms peers advertise probe-interval-ms slow-job-ms"
+        }
+        "submit" => {
+            "addr timeout fallback-hint-ms backoff-cap-ms peers ping shutdown stats logs \
+             metrics route tool app scale interval exclude-stack exclude-libs track-libs \
+             instr retries"
+        }
+        "fleet-status" => "peers metrics timeout",
+        "fleet-trace" => "peers out timeout",
+        _ => return None,
+    })
+}
+
 /// The profiled application: compiled program + staged input, behind one
 /// interface so every subcommand works on either case study.
 struct App {
@@ -421,6 +453,16 @@ fn run(argv: &[String]) -> Result<(), Failure> {
         return Err("missing subcommand".into());
     };
     let args = Args::parse(&argv[1..])?;
+    // A flag the subcommand does not read would be silently ignored, so it
+    // is an error before any work starts.
+    if let Some(known) = known_flags(cmd) {
+        let known = format!("{known} no-obs trace-out");
+        for name in args.flags.keys().chain(&args.bools) {
+            if !known.split_whitespace().any(|k| k == name) {
+                return Err(format!("unknown flag `--{name}` for `tq {cmd}`").into());
+            }
+        }
+    }
     if args.has("no-obs") {
         tq_obs::set_enabled(false);
     }
@@ -911,7 +953,11 @@ fn run(argv: &[String]) -> Result<(), Failure> {
                 let app = AppId::parse(args.get("app").unwrap_or("wfs"))?;
                 let scale = Scale::parse(args.get("scale").unwrap_or("tiny"))?;
                 let mut spec = JobSpec::new(app, scale, tool);
-                spec.interval = args.positive_u64_or("interval", spec.interval)?;
+                // Only a given --interval is checked: quad has no interval
+                // and defaults to 0.
+                if args.get("interval").is_some() {
+                    spec.interval = args.positive_u64_or("interval", 0)?;
+                }
                 if args.has("exclude-stack") {
                     spec.stack = StackPolicy::Exclude;
                 }

@@ -19,7 +19,8 @@
 //! * **metrics** ([`counter`]/[`gauge`]/[`histogram`]) — process-global
 //!   monotonic counters, gauges and log₂ histograms behind cloneable
 //!   atomic handles, exported as Prometheus-style text exposition
-//!   ([`prometheus_text`]);
+//!   ([`prometheus_text`]) together with any families the caller renders
+//!   from counters it keeps itself;
 //! * **a global on/off gate** ([`enabled`]/[`set_enabled`], initialised
 //!   from the `TQ_OBS` environment variable) — when disabled, every
 //!   instrumentation point degrades to one relaxed atomic load and a

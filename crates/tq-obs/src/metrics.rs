@@ -1,10 +1,11 @@
 //! Process-global metrics: monotonic counters, gauges and log₂ histograms.
 //!
 //! Handles are cheap `Arc`-wrapped atomics: call sites register once (a
-//! short registry lock) and update lock-free afterwards. The registry is
-//! keyed by metric name with `BTreeMap`, so the text exposition is emitted
-//! in a stable, sorted order — byte-identical for identical values, which
-//! keeps the `metrics` endpoint testable.
+//! short registry lock) and update lock-free afterwards. A caller that
+//! already keeps its own counters (a profd node's stats) passes them to
+//! [`prometheus_text`] as [`Family`] values instead of registering a
+//! second copy. The exposition is sorted by family name — byte-identical
+//! for identical values, which keeps the `metrics` endpoint testable.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -14,6 +15,13 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// `[2^i, 2^(i+1))` (bucket 0 also holds 0), the last is open-ended.
 /// 28 buckets cover one nanosecond-to-minutes range in microseconds.
 pub const HISTO_BUCKETS: usize = 28;
+
+/// The bucket of `v` in a log₂ histogram: bucket `i` holds `[2^i, 2^(i+1))`,
+/// bucket 0 also holds 0, and the last of [`HISTO_BUCKETS`] is open-ended.
+#[inline]
+pub fn log2_bucket(v: u64) -> usize {
+    (63 - v.max(1).leading_zeros() as usize).min(HISTO_BUCKETS - 1)
+}
 
 /// A monotonic counter. Clone freely; all clones share one cell.
 #[derive(Clone)]
@@ -86,8 +94,7 @@ impl Histogram {
         if !crate::enabled() {
             return;
         }
-        let idx = (63 - v.max(1).leading_zeros() as usize).min(HISTO_BUCKETS - 1);
-        self.0.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        self.0.buckets[log2_bucket(v)].fetch_add(1, Ordering::Relaxed);
         self.0.count.fetch_add(1, Ordering::Relaxed);
         self.0.sum.fetch_add(v, Ordering::Relaxed);
     }
@@ -107,6 +114,72 @@ enum Metric {
     Counter(Counter),
     Gauge(Gauge),
     Histogram(Histogram),
+}
+
+impl Metric {
+    fn value(&self) -> Value {
+        match self {
+            Metric::Counter(c) => Value::Counter(c.get()),
+            Metric::Gauge(g) => Value::Gauge(g.get()),
+            Metric::Histogram(h) => Value::Histogram(
+                std::array::from_fn(|i| h.0.buckets[i].load(Ordering::Relaxed)),
+                h.sum(),
+            ),
+        }
+    }
+}
+
+/// A metric family's value at the moment it is rendered.
+pub enum Value {
+    /// A monotonic count.
+    Counter(u64),
+    /// A value that moves both ways.
+    Gauge(i64),
+    /// Per-bucket counts, indexed by [`log2_bucket`], and the sum of the
+    /// observations.
+    Histogram([u64; HISTO_BUCKETS], u64),
+}
+
+/// One metric family of the text exposition.
+pub struct Family {
+    /// Metric name (`# HELP`/`# TYPE` key and sample name).
+    pub name: &'static str,
+    /// One-line `# HELP` text.
+    pub help: &'static str,
+    /// Current value.
+    pub value: Value,
+}
+
+impl Family {
+    fn write(&self, out: &mut String) {
+        use std::fmt::Write as _;
+        let name = self.name;
+        let _ = writeln!(out, "# HELP {name} {}", self.help);
+        match &self.value {
+            Value::Counter(v) => {
+                let _ = writeln!(out, "# TYPE {name} counter\n{name} {v}");
+            }
+            Value::Gauge(v) => {
+                let _ = writeln!(out, "# TYPE {name} gauge\n{name} {v}");
+            }
+            Value::Histogram(buckets, sum) => {
+                let _ = writeln!(out, "# TYPE {name} histogram");
+                let mut cumulative = 0u64;
+                for (i, b) in buckets.iter().enumerate() {
+                    cumulative += b;
+                    if i + 1 == HISTO_BUCKETS {
+                        let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {cumulative}");
+                    } else {
+                        // Bucket i holds integer values < 2^(i+1); the
+                        // inclusive upper bound is 2^(i+1)-1.
+                        let le = (1u64 << (i + 1)) - 1;
+                        let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
+                    }
+                }
+                let _ = writeln!(out, "{name}_sum {sum}\n{name}_count {cumulative}");
+            }
+        }
+    }
 }
 
 struct Entry {
@@ -167,52 +240,27 @@ pub fn histogram(name: &'static str, help: &'static str) -> Histogram {
     }
 }
 
-/// Render every registered metric as Prometheus-style text exposition
-/// (`# HELP` / `# TYPE` comments, `_bucket{le="…"}` cumulative histogram
-/// lines, sorted by metric name). Includes `tq_obs_spans_dropped_total`,
-/// the layer's own loss counter.
-pub fn prometheus_text() -> String {
-    use std::fmt::Write as _;
+/// Render `families` together with every registered metric as
+/// Prometheus-style text exposition (`# HELP` / `# TYPE` comments,
+/// `_bucket{le="…"}` cumulative histogram lines), one writer for both and
+/// sorted by name. Includes `tq_obs_spans_dropped_total`, the layer's own
+/// loss counter.
+pub fn prometheus_text(mut families: Vec<Family>) -> String {
+    families.extend(registry().iter().map(|(&name, entry)| Family {
+        name,
+        help: entry.help,
+        value: entry.metric.value(),
+    }));
+    families.push(Family {
+        name: "tq_obs_spans_dropped_total",
+        help: "Span events lost to ring-buffer overwrites",
+        value: Value::Counter(crate::span::dropped_spans()),
+    });
+    families.sort_by_key(|f| f.name);
     let mut out = String::new();
-    let reg = registry();
-    for (name, entry) in reg.iter() {
-        let _ = writeln!(out, "# HELP {name} {}", entry.help);
-        match &entry.metric {
-            Metric::Counter(c) => {
-                let _ = writeln!(out, "# TYPE {name} counter");
-                let _ = writeln!(out, "{name} {}", c.get());
-            }
-            Metric::Gauge(g) => {
-                let _ = writeln!(out, "# TYPE {name} gauge");
-                let _ = writeln!(out, "{name} {}", g.get());
-            }
-            Metric::Histogram(h) => {
-                let _ = writeln!(out, "# TYPE {name} histogram");
-                let mut cumulative = 0u64;
-                for (i, b) in h.0.buckets.iter().enumerate() {
-                    cumulative += b.load(Ordering::Relaxed);
-                    if i + 1 == HISTO_BUCKETS {
-                        let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {cumulative}");
-                    } else {
-                        // Bucket i holds integer values < 2^(i+1); the
-                        // inclusive upper bound is 2^(i+1)-1.
-                        let le = (1u64 << (i + 1)) - 1;
-                        let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
-                    }
-                }
-                let _ = writeln!(out, "{name}_sum {}", h.sum());
-                let _ = writeln!(out, "{name}_count {}", h.count());
-            }
-        }
+    for family in &families {
+        family.write(&mut out);
     }
-    drop(reg);
-    let dropped = crate::span::dropped_spans();
-    let _ = writeln!(
-        out,
-        "# HELP tq_obs_spans_dropped_total Span events lost to ring-buffer overwrites\n\
-         # TYPE tq_obs_spans_dropped_total counter\n\
-         tq_obs_spans_dropped_total {dropped}"
-    );
     out
 }
 
@@ -258,7 +306,7 @@ mod tests {
             h.observe(v);
         }
         assert_eq!(h.count(), 7);
-        let text = prometheus_text();
+        let text = prometheus_text(Vec::new());
         // Values 0 and 1 land in bucket 0 (le="1"); 2 and 3 raise the
         // cumulative le="3" line to 4.
         assert!(text.contains("test_histo_micros_bucket{le=\"1\"} 2"));
@@ -274,7 +322,7 @@ mod tests {
         let c = counter("test_expo_total", "an example counter");
         c.add(5);
         gauge("test_expo_gauge", "an example gauge").set(-3);
-        let text = prometheus_text();
+        let text = prometheus_text(Vec::new());
         assert!(text.contains("# HELP test_expo_total an example counter"));
         assert!(text.contains("# TYPE test_expo_total counter"));
         assert!(text.contains("# TYPE test_expo_gauge gauge"));
@@ -294,6 +342,52 @@ mod tests {
                 "bad exposition line: {line}"
             );
         }
+    }
+
+    #[test]
+    fn caller_families_share_the_writer_and_the_sort() {
+        let _g = test_lock::hold();
+        crate::set_enabled(true);
+        let h = histogram("test_writer_a_micros", "registered");
+        let mut buckets = [0; HISTO_BUCKETS];
+        for v in [0, 3, 900, u64::MAX] {
+            h.observe(v);
+            buckets[log2_bucket(v)] += 1;
+        }
+        let sum = 903u64.wrapping_add(u64::MAX);
+        let text = prometheus_text(vec![
+            Family {
+                name: "test_writer_b_micros",
+                help: "registered",
+                value: Value::Histogram(buckets, sum),
+            },
+            Family {
+                name: "test_writer_0_gauge",
+                help: "first by name",
+                value: Value::Gauge(-2),
+            },
+        ]);
+        let section = |name: &str| -> Vec<String> {
+            text.lines()
+                .filter(|l| l.contains(name))
+                .map(|l| l.replace(name, "X"))
+                .collect()
+        };
+        assert_eq!(
+            section("test_writer_a_micros"),
+            section("test_writer_b_micros")
+        );
+        let pos = |needle: &str| text.find(needle).unwrap();
+        assert!(
+            pos("# TYPE test_writer_0_gauge gauge\ntest_writer_0_gauge -2") < pos("test_writer_a")
+        );
+        assert!(pos("test_writer_a") < pos("test_writer_b"));
+        let names: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE "))
+            .map(|l| l.split(' ').next().unwrap())
+            .collect();
+        assert!(names.windows(2).all(|w| w[0] < w[1]), "sorted, each once");
     }
 
     #[test]

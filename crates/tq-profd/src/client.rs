@@ -425,7 +425,8 @@ impl Client {
     }
 
     /// Fetch the Prometheus-style text exposition of the server's
-    /// process-wide metrics.
+    /// metrics: the node's own stats counters plus its process-wide
+    /// tq-obs registry.
     pub fn metrics(&mut self) -> Result<String, String> {
         let resp = self.request(&Request::Metrics)?;
         if !resp.is_ok() {

@@ -25,6 +25,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 use tq_fleet::{Health, Ring, Roster};
+use tq_obs::metrics::{Family, Value};
 use tq_report::Json;
 use tq_trace::Trace;
 
@@ -84,80 +85,6 @@ impl FleetConfig {
             peek_timeout: Duration::from_secs(120),
         }
     }
-}
-
-/// tq-obs handles for the fleet counters (mirroring, not replacing, the
-/// snapshot counters below — same discipline as the server's job
-/// metrics).
-mod obs {
-    use std::sync::OnceLock;
-    use tq_obs::{Counter, Gauge};
-
-    macro_rules! handle {
-        ($fn_name:ident, $kind:ident, $ctor:ident, $name:literal, $help:literal) => {
-            pub fn $fn_name() -> &'static $kind {
-                static H: OnceLock<$kind> = OnceLock::new();
-                H.get_or_init(|| tq_obs::$ctor($name, $help))
-            }
-        };
-    }
-
-    handle!(
-        peek_serves,
-        Counter,
-        counter,
-        "tq_fleet_peek_serves_total",
-        "Peek requests answered with a capture (this node was asked as owner or happened to hold it)"
-    );
-    handle!(
-        peek_serve_misses,
-        Counter,
-        counter,
-        "tq_fleet_peek_serve_misses_total",
-        "Peek requests this node could not answer (digest not cached and not owned here)"
-    );
-    handle!(
-        peek_fetches,
-        Counter,
-        counter,
-        "tq_fleet_peek_fetches_total",
-        "Captures fetched from their ring owner instead of re-recording locally"
-    );
-    handle!(
-        peek_fetch_failures,
-        Counter,
-        counter,
-        "tq_fleet_peek_fetch_failures_total",
-        "Peek fetches that failed (dead owner, timeout, bad payload) and fell back to local recording"
-    );
-    handle!(
-        redirects_issued,
-        Counter,
-        counter,
-        "tq_fleet_redirects_issued_total",
-        "Busy responses that carried a redirect_to hint naming a live peer"
-    );
-    handle!(
-        remote_owned_jobs,
-        Counter,
-        counter,
-        "tq_fleet_remote_owned_jobs_total",
-        "Submits served here for digests another fleet node owns"
-    );
-    handle!(
-        probe_rounds,
-        Counter,
-        counter,
-        "tq_fleet_probe_rounds_total",
-        "Completed peer probe rounds"
-    );
-    handle!(
-        peers_alive,
-        Gauge,
-        gauge,
-        "tq_fleet_peers_alive",
-        "Configured peers currently not considered dead (updated each probe round)"
-    );
 }
 
 /// One node's view of the fleet: the deterministic ring, the probed
@@ -258,8 +185,6 @@ impl FleetState {
             log_transition(peer, transition);
         }
         self.probe_rounds.fetch_add(1, Ordering::Relaxed);
-        obs::probe_rounds().inc();
-        obs::peers_alive().set(lock_roster(&self.roster).live_count() as i64);
     }
 
     /// The least-loaded live peer, for `busy` redirect hints. `None`
@@ -271,7 +196,6 @@ impl FleetState {
             .map(|p| p.addr.clone());
         if hint.is_some() {
             self.redirects_issued.fetch_add(1, Ordering::Relaxed);
-            obs::redirects_issued().inc();
         }
         hint
     }
@@ -288,19 +212,16 @@ impl FleetState {
         }
         if !lock_roster(&self.roster).is_live(&owner) {
             self.peek_fetch_failures.fetch_add(1, Ordering::Relaxed);
-            obs::peek_fetch_failures().inc();
             return None;
         }
         let fetched = self.fetch_capture(&owner, app, scale, digest, job_id);
         match fetched {
             Some(trace) => {
                 self.peek_fetches.fetch_add(1, Ordering::Relaxed);
-                obs::peek_fetches().inc();
                 Some(trace)
             }
             None => {
                 self.peek_fetch_failures.fetch_add(1, Ordering::Relaxed);
-                obs::peek_fetch_failures().inc();
                 tq_obs::log::warn(
                     LOG,
                     "peek_fetch_failed",
@@ -351,19 +272,67 @@ impl FleetState {
     /// Count a peek request this node answered with a capture.
     pub fn note_peek_served(&self) {
         self.peek_serves.fetch_add(1, Ordering::Relaxed);
-        obs::peek_serves().inc();
     }
 
     /// Count a peek request this node had to turn away empty-handed.
     pub fn note_peek_missed(&self) {
         self.peek_serve_misses.fetch_add(1, Ordering::Relaxed);
-        obs::peek_serve_misses().inc();
     }
 
     /// Count a submit served here for a digest another node owns.
     pub fn note_remote_owned_job(&self) {
         self.remote_owned_jobs.fetch_add(1, Ordering::Relaxed);
-        obs::remote_owned_jobs().inc();
+    }
+
+    /// The coordination counters: `stats` key, metric family, `# HELP`
+    /// text and value. [`Self::to_json`] and [`Self::families`] both read
+    /// them from here.
+    fn counters(&self) -> [(&'static str, &'static str, &'static str, u64); 7] {
+        let n = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        [
+            (
+                "peek_serves",
+                "tq_fleet_peek_serves_total",
+                "Peek requests answered with a capture (this node was asked as owner or happened to hold it)",
+                n(&self.peek_serves),
+            ),
+            (
+                "peek_serve_misses",
+                "tq_fleet_peek_serve_misses_total",
+                "Peek requests this node could not answer (digest not cached and not owned here)",
+                n(&self.peek_serve_misses),
+            ),
+            (
+                "peek_fetches",
+                "tq_fleet_peek_fetches_total",
+                "Captures fetched from their ring owner instead of re-recording locally",
+                n(&self.peek_fetches),
+            ),
+            (
+                "peek_fetch_failures",
+                "tq_fleet_peek_fetch_failures_total",
+                "Peek fetches that failed (dead owner, timeout, bad payload) and fell back to local recording",
+                n(&self.peek_fetch_failures),
+            ),
+            (
+                "redirects_issued",
+                "tq_fleet_redirects_issued_total",
+                "Busy responses that carried a redirect_to hint naming a live peer",
+                n(&self.redirects_issued),
+            ),
+            (
+                "remote_owned_jobs",
+                "tq_fleet_remote_owned_jobs_total",
+                "Submits served here for digests another fleet node owns",
+                n(&self.remote_owned_jobs),
+            ),
+            (
+                "probe_rounds",
+                "tq_fleet_probe_rounds_total",
+                "Completed peer probe rounds",
+                n(&self.probe_rounds),
+            ),
+        ]
     }
 
     /// The `stats` JSON block: membership, per-peer health/load, and the
@@ -386,40 +355,35 @@ impl FleetState {
             .collect();
         let live = roster.live_count() as u64;
         drop(roster);
-        Json::obj([
+        let mut j = Json::obj([
             ("self", Json::from(self.config.self_addr.as_str())),
             ("ring_nodes", Json::from(self.ring.len() as u64)),
             ("peers_alive", Json::from(live)),
             ("peers", Json::from(peers)),
-            (
-                "peek_serves",
-                Json::from(self.peek_serves.load(Ordering::Relaxed)),
-            ),
-            (
-                "peek_serve_misses",
-                Json::from(self.peek_serve_misses.load(Ordering::Relaxed)),
-            ),
-            (
-                "peek_fetches",
-                Json::from(self.peek_fetches.load(Ordering::Relaxed)),
-            ),
-            (
-                "peek_fetch_failures",
-                Json::from(self.peek_fetch_failures.load(Ordering::Relaxed)),
-            ),
-            (
-                "redirects_issued",
-                Json::from(self.redirects_issued.load(Ordering::Relaxed)),
-            ),
-            (
-                "remote_owned_jobs",
-                Json::from(self.remote_owned_jobs.load(Ordering::Relaxed)),
-            ),
-            (
-                "probe_rounds",
-                Json::from(self.probe_rounds.load(Ordering::Relaxed)),
-            ),
-        ])
+        ]);
+        for (key, _, _, v) in self.counters() {
+            j.set(key, Json::from(v));
+        }
+        j
+    }
+
+    /// The `tq_fleet_*` families of the `metrics` exposition.
+    pub fn families(&self) -> Vec<Family> {
+        let mut families: Vec<Family> = self
+            .counters()
+            .into_iter()
+            .map(|(_, name, help, v)| Family {
+                name,
+                help,
+                value: Value::Counter(v),
+            })
+            .collect();
+        families.push(Family {
+            name: "tq_fleet_peers_alive",
+            help: "Configured peers currently not considered dead (updated each probe round)",
+            value: Value::Gauge(lock_roster(&self.roster).live_count() as i64),
+        });
+        families
     }
 }
 

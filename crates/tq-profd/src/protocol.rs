@@ -258,8 +258,9 @@ pub enum Request {
     },
     /// Service statistics snapshot.
     Stats,
-    /// Prometheus-style text exposition of the process-wide tq-obs
-    /// metrics (counters, gauges, histograms).
+    /// Prometheus-style text exposition: this node's `stats` counters
+    /// (`tq_profd_*`, `tq_job_*`, `tq_fleet_*`) plus the process-wide
+    /// tq-obs metrics (counters, gauges, histograms).
     Metrics,
     /// Export the peer's span rings as a Chrome-trace JSON document
     /// (non-destructive snapshot), together with the peer's `now_ns`

@@ -44,6 +44,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+use tq_obs::metrics::{Family, Value};
 use tq_report::Json;
 
 /// Server tuning knobs.
@@ -176,137 +177,6 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// tq-obs handles for the job lifecycle. These mirror (not replace) the
-/// mutex-guarded [`ServiceStats`]: stats are the service's own snapshot
-/// protocol, the tq-obs registry feeds the cross-crate `metrics`
-/// exposition alongside replay/tool metrics from other crates.
-mod obs {
-    use std::sync::OnceLock;
-    use tq_obs::{Counter, Gauge, Histogram};
-
-    macro_rules! handle {
-        ($fn_name:ident, $kind:ident, $ctor:ident, $name:literal, $help:literal) => {
-            pub fn $fn_name() -> &'static $kind {
-                static H: OnceLock<$kind> = OnceLock::new();
-                H.get_or_init(|| tq_obs::$ctor($name, $help))
-            }
-        };
-    }
-
-    handle!(
-        queue_depth,
-        Gauge,
-        gauge,
-        "tq_profd_queue_depth",
-        "Jobs currently waiting in the bounded queue"
-    );
-    handle!(
-        uptime_seconds,
-        Gauge,
-        gauge,
-        "tq_profd_uptime_seconds",
-        "Seconds since the service started (set at each metrics scrape)"
-    );
-    handle!(
-        jobs_submitted,
-        Counter,
-        counter,
-        "tq_profd_jobs_submitted_total",
-        "Valid submit requests received"
-    );
-    handle!(
-        jobs_completed,
-        Counter,
-        counter,
-        "tq_profd_jobs_completed_total",
-        "Jobs that produced a profile"
-    );
-    handle!(
-        jobs_failed,
-        Counter,
-        counter,
-        "tq_profd_jobs_failed_total",
-        "Jobs that errored"
-    );
-    handle!(
-        result_hits,
-        Counter,
-        counter,
-        "tq_profd_result_hits_total",
-        "Result-memo hits (byte-identical replies, no replay)"
-    );
-    handle!(
-        capture_hits,
-        Counter,
-        counter,
-        "tq_profd_capture_hits_total",
-        "Captures served from the cache (memory or disk tier)"
-    );
-    handle!(
-        capture_misses,
-        Counter,
-        counter,
-        "tq_profd_capture_misses_total",
-        "Cold captures recorded by running the VM"
-    );
-    handle!(
-        job_micros,
-        Histogram,
-        histogram,
-        "tq_profd_job_micros",
-        "End-to-end job latency in microseconds"
-    );
-    handle!(
-        sheds,
-        Counter,
-        counter,
-        "tq_profd_sheds_total",
-        "Queued jobs shed with an error reply at shutdown"
-    );
-    handle!(
-        rejects,
-        Counter,
-        counter,
-        "tq_profd_rejects_total",
-        "Submits answered busy (queue full) plus connections turned away at the limit"
-    );
-    handle!(
-        retries_observed,
-        Counter,
-        counter,
-        "tq_profd_retries_observed_total",
-        "Submits that arrived flagged as client retries (attempt > 0)"
-    );
-    handle!(
-        faults_injected,
-        Gauge,
-        gauge,
-        "tq_profd_faults_injected",
-        "Faults injected by the active tq-faults plan (set at each metrics scrape)"
-    );
-    handle!(
-        jobs_tagged,
-        Counter,
-        counter,
-        "tq_job_tagged_total",
-        "Submits that arrived carrying a client-minted distributed-trace job_id"
-    );
-    handle!(
-        jobs_minted,
-        Counter,
-        counter,
-        "tq_job_minted_total",
-        "job_ids minted server-side for legacy submits that carried none"
-    );
-    handle!(
-        jobs_slow,
-        Counter,
-        counter,
-        "tq_job_slow_total",
-        "Jobs over the slow-job latency threshold (each also logs a slow_job record)"
-    );
-}
-
 impl Shared {
     /// The server's `retry_after_ms` hint on a shed: roughly how long the
     /// backlog ahead of this client needs to drain, from the measured mean
@@ -337,7 +207,6 @@ impl Shared {
             });
         }
         q.jobs.push_back(job);
-        obs::queue_depth().set(q.jobs.len() as i64);
         self.not_empty.notify_one();
         Ok(())
     }
@@ -347,7 +216,6 @@ impl Shared {
         let mut q = lock(&self.queue);
         loop {
             if let Some(job) = q.jobs.pop_front() {
-                obs::queue_depth().set(q.jobs.len() as i64);
                 return Some(job);
             }
             if q.closed {
@@ -367,10 +235,8 @@ impl Shared {
             q.jobs.drain(..).collect()
         };
         self.not_empty.notify_all();
-        obs::queue_depth().set(0);
         if !shed.is_empty() {
             lock(&self.stats).sheds += shed.len() as u64;
-            obs::sheds().add(shed.len() as u64);
             tq_obs::log::warn(LOG, "queue_shed", &[("jobs", shed.len().into())]);
             for job in shed {
                 let _ = job.reply.send(Err(
@@ -410,9 +276,6 @@ impl Shared {
             st.jobs_completed += 1;
             st.record_latency(spec.tool, micros);
             drop(st);
-            obs::result_hits().inc();
-            obs::jobs_completed().inc();
-            obs::job_micros().observe(micros);
             tq_obs::log::debug(
                 LOG,
                 "job_done",
@@ -455,21 +318,10 @@ impl Shared {
             record_capture(&w, fuel)
         })?;
         let capture_micros = capture_t0.elapsed().as_micros() as u64;
-        {
-            let mut st = lock(&self.stats);
-            match source {
-                CaptureSource::Memory => st.capture_mem_hits += 1,
-                CaptureSource::Disk => st.capture_disk_hits += 1,
-                // A peeked capture entered the cache without a VM run; the
-                // fleet counters (`peek_fetches`) account for it instead.
-                CaptureSource::Recorded if peeked => {}
-                CaptureSource::Recorded => st.vm_runs += 1,
-            }
-        }
-        match source {
-            CaptureSource::Memory | CaptureSource::Disk => obs::capture_hits().inc(),
-            CaptureSource::Recorded if peeked => {}
-            CaptureSource::Recorded => obs::capture_misses().inc(),
+        // A peeked capture entered the cache without a VM run; the fleet
+        // counters (`peek_fetches`) account for it instead.
+        if !peeked {
+            lock(&self.stats).count_capture(source);
         }
 
         // Borrow idle workers as replay shards: a lone job on a quiet
@@ -506,8 +358,6 @@ impl Shared {
             st.slow_jobs += 1;
         }
         drop(st);
-        obs::jobs_completed().inc();
-        obs::job_micros().observe(micros);
         tq_obs::log::debug(
             LOG,
             "job_done",
@@ -524,7 +374,6 @@ impl Shared {
             // The slow-job record: the span breakdown an operator needs
             // to tell "cold capture" from "big replay" without fetching
             // the whole trace.
-            obs::jobs_slow().inc();
             tq_obs::log::warn(
                 LOG,
                 "slow_job",
@@ -577,7 +426,6 @@ impl Shared {
         }
         if let Some(bytes) = self.store.peek_bytes(digest) {
             lock(&self.stats).capture_disk_hits += 1;
-            obs::capture_hits().inc();
             return Ok(Some(bytes));
         }
         let owned = self
@@ -595,17 +443,7 @@ impl Shared {
             });
             match recorded {
                 Ok((trace, source)) => {
-                    let mut st = lock(&self.stats);
-                    match source {
-                        CaptureSource::Memory => st.capture_mem_hits += 1,
-                        CaptureSource::Disk => st.capture_disk_hits += 1,
-                        CaptureSource::Recorded => st.vm_runs += 1,
-                    }
-                    drop(st);
-                    match source {
-                        CaptureSource::Memory | CaptureSource::Disk => obs::capture_hits().inc(),
-                        CaptureSource::Recorded => obs::capture_misses().inc(),
-                    }
+                    lock(&self.stats).count_capture(source);
                     Some(trace)
                 }
                 Err(e) => return Err(Response::err(format!("peek recording failed: {e}"))),
@@ -685,6 +523,38 @@ impl Shared {
         writer.flush()
     }
 
+    /// This node's `metrics` exposition: its stats and fleet counters as
+    /// metric families, next to the process-wide tq-obs registry.
+    fn metrics_text(&self) -> String {
+        let mut families = lock(&self.stats).families();
+        let gauges = [
+            (
+                "tq_profd_queue_depth",
+                "Jobs currently waiting in the bounded queue",
+                lock(&self.queue).jobs.len() as i64,
+            ),
+            (
+                "tq_profd_uptime_seconds",
+                "Seconds since the service started (set at each metrics scrape)",
+                self.started.elapsed().as_secs() as i64,
+            ),
+            (
+                "tq_profd_faults_injected",
+                "Faults injected by the active tq-faults plan (set at each metrics scrape)",
+                tq_faults::injected() as i64,
+            ),
+        ];
+        families.extend(gauges.map(|(name, help, v)| Family {
+            name,
+            help,
+            value: Value::Gauge(v),
+        }));
+        if let Some(f) = &self.fleet {
+            families.extend(f.families());
+        }
+        tq_obs::prometheus_text(families)
+    }
+
     fn stats_json(&self) -> Json {
         let uptime = self.started.elapsed().as_micros() as u64;
         let mut j = lock(&self.stats).to_json(uptime);
@@ -743,7 +613,6 @@ fn worker_loop(shared: &Shared) {
         shared.busy.fetch_sub(1, Ordering::SeqCst);
         if let Err(e) = &result {
             lock(&shared.stats).jobs_failed += 1;
-            obs::jobs_failed().inc();
             tq_obs::log::warn(
                 LOG,
                 "job_failed",
@@ -822,14 +691,10 @@ fn handle_request(shared: &Arc<Shared>, addr: SocketAddr, req: Request) -> (Resp
                 false,
             )
         }
-        Request::Metrics => {
-            obs::uptime_seconds().set(shared.started.elapsed().as_secs() as i64);
-            obs::faults_injected().set(tq_faults::injected() as i64);
-            (
-                Response::ok([("metrics", Json::from(tq_obs::prometheus_text()))]),
-                false,
-            )
-        }
+        Request::Metrics => (
+            Response::ok([("metrics", Json::from(shared.metrics_text()))]),
+            false,
+        ),
         Request::Shutdown => {
             shared.shutdown.store(true, Ordering::SeqCst);
             shared.close_queue();
@@ -846,24 +711,24 @@ fn handle_request(shared: &Arc<Shared>, addr: SocketAddr, req: Request) -> (Resp
             // keeps the client's (so its spans correlate fleet-wide), a
             // legacy one gets a server-minted id so local spans still
             // group.
-            let job_id = if job_id != 0 {
-                obs::jobs_tagged().inc();
+            let tagged = job_id != 0;
+            let job_id = if tagged {
                 job_id
             } else {
-                obs::jobs_minted().inc();
                 mint_job_id(&format!("{spec:?}"), attempt)
             };
             let _job = tq_obs::with_job(job_id);
             {
                 let mut st = lock(&shared.stats);
                 st.jobs_submitted += 1;
+                if tagged {
+                    st.jobs_tagged += 1;
+                } else {
+                    st.jobs_minted += 1;
+                }
                 if attempt > 0 {
                     st.retries_observed += 1;
                 }
-            }
-            obs::jobs_submitted().inc();
-            if attempt > 0 {
-                obs::retries_observed().inc();
             }
             let (tx, rx) = mpsc::channel();
             let pushed = {
@@ -878,7 +743,6 @@ fn handle_request(shared: &Arc<Shared>, addr: SocketAddr, req: Request) -> (Resp
                 Ok(()) => {}
                 Err(PushError::Busy { retry_after_ms }) => {
                     lock(&shared.stats).rejects += 1;
-                    obs::rejects().inc();
                     let mut resp =
                         Response::busy("queue full: job shed, retry later", retry_after_ms);
                     // In a fleet, tell the shed client *where* to go: the
@@ -899,7 +763,6 @@ fn handle_request(shared: &Arc<Shared>, addr: SocketAddr, req: Request) -> (Resp
                 }
                 Err(PushError::Closed) => {
                     lock(&shared.stats).jobs_failed += 1;
-                    obs::jobs_failed().inc();
                     tq_obs::log::warn(
                         LOG,
                         "shutdown_shed",
@@ -1134,7 +997,6 @@ impl Server {
                         if occupied >= shared.config.max_conns {
                             shared.conns.fetch_sub(1, Ordering::SeqCst);
                             lock(&shared.stats).rejects += 1;
-                            obs::rejects().inc();
                             tq_obs::log::warn(
                                 LOG,
                                 "conn_limit",

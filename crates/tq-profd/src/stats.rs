@@ -1,21 +1,22 @@
 //! Service observability: cache counters and per-tool latency histograms.
 //!
-//! The stats live behind the server's mutex and are snapshotted into JSON
-//! on a `stats` request. Latencies go into log₂ buckets of microseconds —
-//! cheap to record under a lock, and enough resolution to tell a cache hit
-//! (tens of µs) from a replay (ms) from a capture run (often seconds).
+//! The stats live behind the server's mutex and are the node's only count
+//! of its jobs: a `stats` request snapshots them into JSON, a `metrics`
+//! request renders the same numbers as `tq_profd_*`/`tq_job_*` families.
+//! Latencies go into log₂ buckets of microseconds — cheap to record under
+//! a lock, and enough resolution to tell a cache hit (tens of µs) from a
+//! replay (ms) from a capture run (often seconds).
 
+use crate::cache::CaptureSource;
 use crate::protocol::ToolId;
+use tq_obs::metrics::{log2_bucket, Family, Value, HISTO_BUCKETS};
 use tq_report::Json;
 
-/// Number of log₂ latency buckets; bucket `i` holds durations in
-/// `[2^i, 2^(i+1))` µs, the last bucket is open-ended.
-pub const LATENCY_BUCKETS: usize = 28;
-
-/// A log₂ histogram of job latencies in microseconds.
+/// A log₂ histogram of job latencies in microseconds, bucketed by
+/// [`log2_bucket`].
 #[derive(Clone, Debug, Default)]
 pub struct LatencyHisto {
-    buckets: [u64; LATENCY_BUCKETS],
+    buckets: [u64; HISTO_BUCKETS],
     count: u64,
     total_micros: u64,
     max_micros: u64,
@@ -24,8 +25,7 @@ pub struct LatencyHisto {
 impl LatencyHisto {
     /// Record one duration.
     pub fn record(&mut self, micros: u64) {
-        let idx = (64 - micros.max(1).leading_zeros() as usize - 1).min(LATENCY_BUCKETS - 1);
-        self.buckets[idx] += 1;
+        self.buckets[log2_bucket(micros)] += 1;
         self.count += 1;
         self.total_micros = self.total_micros.saturating_add(micros);
         self.max_micros = self.max_micros.max(micros);
@@ -73,6 +73,10 @@ impl LatencyHisto {
 pub struct ServiceStats {
     /// Jobs received (valid submits).
     pub jobs_submitted: u64,
+    /// Submits that carried a client-minted distributed-trace `job_id`.
+    pub jobs_tagged: u64,
+    /// Submits that carried none, so the server minted their `job_id`.
+    pub jobs_minted: u64,
     /// Jobs that produced a profile.
     pub jobs_completed: u64,
     /// Jobs that errored.
@@ -135,6 +139,15 @@ impl ServiceStats {
         (count > 0).then(|| total as f64 / count as f64)
     }
 
+    /// Count a capture by where it came from: a cache tier or a VM run.
+    pub fn count_capture(&mut self, source: CaptureSource) {
+        match source {
+            CaptureSource::Memory => self.capture_mem_hits += 1,
+            CaptureSource::Disk => self.capture_disk_hits += 1,
+            CaptureSource::Recorded => self.vm_runs += 1,
+        }
+    }
+
     /// Answers that avoided a VM run entirely: result-memo hits plus
     /// capture-cache hits from either tier.
     pub fn cache_hits(&self) -> u64 {
@@ -163,6 +176,8 @@ impl ServiceStats {
                 Json::from(uptime_micros as f64 / 1_000_000.0),
             ),
             ("jobs_submitted", Json::from(self.jobs_submitted)),
+            ("jobs_tagged", Json::from(self.jobs_tagged)),
+            ("jobs_minted", Json::from(self.jobs_minted)),
             ("jobs_completed", Json::from(self.jobs_completed)),
             ("jobs_failed", Json::from(self.jobs_failed)),
             ("result_hits", Json::from(self.result_hits)),
@@ -181,6 +196,96 @@ impl ServiceStats {
             ("reduced_jobs", Json::from(self.reduced_jobs)),
             ("latency", tools),
         ])
+    }
+
+    /// The `tq_profd_*` and `tq_job_*` families of the `metrics`
+    /// exposition, rendered from these counters (the queue, uptime and
+    /// fault gauges are the server's).
+    pub fn families(&self) -> Vec<Family> {
+        let counters = [
+            (
+                "tq_profd_jobs_submitted_total",
+                "Valid submit requests received",
+                self.jobs_submitted,
+            ),
+            (
+                "tq_profd_jobs_completed_total",
+                "Jobs that produced a profile",
+                self.jobs_completed,
+            ),
+            (
+                "tq_profd_jobs_failed_total",
+                "Jobs that errored",
+                self.jobs_failed,
+            ),
+            (
+                "tq_profd_result_hits_total",
+                "Result-memo hits (byte-identical replies, no replay)",
+                self.result_hits,
+            ),
+            (
+                "tq_profd_capture_hits_total",
+                "Captures served from the cache (memory or disk tier)",
+                self.capture_mem_hits + self.capture_disk_hits,
+            ),
+            (
+                "tq_profd_capture_misses_total",
+                "Cold captures recorded by running the VM",
+                self.vm_runs,
+            ),
+            (
+                "tq_profd_sheds_total",
+                "Queued jobs shed with an error reply at shutdown",
+                self.sheds,
+            ),
+            (
+                "tq_profd_rejects_total",
+                "Submits answered busy (queue full) plus connections turned away at the limit",
+                self.rejects,
+            ),
+            (
+                "tq_profd_retries_observed_total",
+                "Submits that arrived flagged as client retries (attempt > 0)",
+                self.retries_observed,
+            ),
+            (
+                "tq_job_tagged_total",
+                "Submits that arrived carrying a client-minted distributed-trace job_id",
+                self.jobs_tagged,
+            ),
+            (
+                "tq_job_minted_total",
+                "job_ids minted server-side for legacy submits that carried none",
+                self.jobs_minted,
+            ),
+            (
+                "tq_job_slow_total",
+                "Jobs over the slow-job latency threshold (each also logs a slow_job record)",
+                self.slow_jobs,
+            ),
+        ];
+        let mut buckets = [0; HISTO_BUCKETS];
+        let mut sum = 0u64;
+        for h in &self.latency {
+            for (b, n) in buckets.iter_mut().zip(h.buckets) {
+                *b += n;
+            }
+            sum = sum.saturating_add(h.total_micros);
+        }
+        let mut families: Vec<Family> = counters
+            .into_iter()
+            .map(|(name, help, v)| Family {
+                name,
+                help,
+                value: Value::Counter(v),
+            })
+            .collect();
+        families.push(Family {
+            name: "tq_profd_job_micros",
+            help: "End-to-end job latency in microseconds",
+            value: Value::Histogram(buckets, sum),
+        });
+        families
     }
 }
 
@@ -204,8 +309,8 @@ mod tests {
         assert_eq!(buckets[1].as_u64(), Some(2));
         assert_eq!(buckets[2].as_u64(), Some(1));
         // u64::MAX clamps into the open-ended last bucket.
-        assert_eq!(buckets.len(), LATENCY_BUCKETS);
-        assert_eq!(buckets[LATENCY_BUCKETS - 1].as_u64(), Some(1));
+        assert_eq!(buckets.len(), HISTO_BUCKETS);
+        assert_eq!(buckets[HISTO_BUCKETS - 1].as_u64(), Some(1));
     }
 
     #[test]

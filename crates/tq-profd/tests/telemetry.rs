@@ -7,10 +7,12 @@
 //! `tq_log_*` / `tq_fleet_*` Prometheus series move.
 //!
 //! Everything here runs in ONE process, so both servers (and the client)
-//! share one `tq-obs` registry, span ring and log tail. That makes the
-//! counter assertions fleet-wide sums, which is fine — the true
-//! cross-process merge (distinct span rings joined by clock-offset
-//! estimation) is proved end-to-end by `scripts/verify.sh`.
+//! share one `tq-obs` registry, span ring and log tail: the `tq_log_*`
+//! and span families are process-wide sums. The `tq_profd_*`, `tq_job_*`
+//! and `tq_fleet_*` families render each node's own `stats`, so they are
+//! per node even here. The true cross-process merge (distinct span rings
+//! joined by clock-offset estimation) is proved end-to-end by
+//! `scripts/verify.sh`.
 
 use std::net::TcpListener;
 use tq_profd::telemetry::{fetch_merged_trace, merge_prometheus};
@@ -102,27 +104,31 @@ fn routed_submit_tags_spans_logs_and_counters_with_one_job_id() {
     let hex = job_id_hex(trail.job_id);
     assert_eq!(hex.len(), 16, "wire form is fixed-width hex: {hex}");
 
-    // The job_id went over the wire: the server counted a tagged job,
-    // not a server-minted one (counters are process-global sums here).
-    let metrics = Client::connect(&non_owner)
-        .expect("connect")
-        .metrics()
-        .expect("metrics");
-    assert!(
-        sample(&metrics, "tq_job_tagged_total").unwrap_or(0) >= 1,
-        "tagged-job counter must move: {:?}",
-        sample(&metrics, "tq_job_tagged_total")
-    );
+    // The job_id went over the wire: the non-owner counted a tagged job,
+    // not a server-minted one, and fetched the capture the owner served.
+    let metrics_of = |addr: &str| {
+        Client::connect(addr)
+            .expect("connect")
+            .metrics()
+            .expect("metrics")
+    };
+    let metrics = metrics_of(&non_owner);
+    let owner_metrics = metrics_of(&owner);
+    assert_eq!(sample(&metrics, "tq_job_tagged_total"), Some(1));
+    assert_eq!(sample(&metrics, "tq_job_minted_total"), Some(0));
+    assert_eq!(sample(&owner_metrics, "tq_job_tagged_total"), Some(0));
     assert!(
         sample(&metrics, "tq_log_records_total").unwrap_or(0) >= 1,
         "structured log counter must move"
     );
-    assert!(
-        sample(&metrics, "tq_fleet_peek_fetches_total").unwrap_or(0) >= 1,
+    assert_eq!(
+        sample(&metrics, "tq_fleet_peek_fetches_total"),
+        Some(1),
         "routed submit peeks the owner"
     );
-    assert!(
-        sample(&metrics, "tq_fleet_peek_serves_total").unwrap_or(0) >= 1,
+    assert_eq!(
+        sample(&owner_metrics, "tq_fleet_peek_serves_total"),
+        Some(1),
         "owner serves the peek"
     );
 
@@ -233,6 +239,139 @@ fn routed_submit_tags_spans_logs_and_counters_with_one_job_id() {
         1,
         "headers deduped across peers"
     );
+
+    shutdown_all(&addrs, servers);
+}
+
+/// A `stats` value by path.
+fn stat(stats: &Json, path: &[&str]) -> u64 {
+    path.iter()
+        .try_fold(stats, |j, key| j.get(key))
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|| panic!("stats lack {path:?}: {}", stats.render()))
+}
+
+/// Every profd, job and fleet family of the `metrics` exposition, with
+/// the `stats` figure it renders.
+fn stats_figures(stats: &Json) -> Vec<(&'static str, u64)> {
+    let s = |key| stat(stats, &[key]);
+    let fleet = |key| stat(stats, &["fleet", key]);
+    let latency_count: u64 = ["tquad", "quad", "gprof", "phases"]
+        .iter()
+        .map(|tool| stat(stats, &["latency", tool, "count"]))
+        .sum();
+    vec![
+        ("tq_profd_jobs_submitted_total", s("jobs_submitted")),
+        ("tq_profd_jobs_completed_total", s("jobs_completed")),
+        ("tq_profd_jobs_failed_total", s("jobs_failed")),
+        ("tq_profd_result_hits_total", s("result_hits")),
+        (
+            "tq_profd_capture_hits_total",
+            s("capture_mem_hits") + s("capture_disk_hits"),
+        ),
+        ("tq_profd_capture_misses_total", s("vm_runs")),
+        ("tq_profd_sheds_total", s("sheds")),
+        ("tq_profd_rejects_total", s("rejects")),
+        ("tq_profd_retries_observed_total", s("retries_observed")),
+        ("tq_profd_queue_depth", s("queue_len")),
+        ("tq_profd_faults_injected", s("faults_injected")),
+        ("tq_profd_job_micros_count", latency_count),
+        ("tq_job_tagged_total", s("jobs_tagged")),
+        ("tq_job_minted_total", s("jobs_minted")),
+        ("tq_job_slow_total", s("slow_jobs")),
+        ("tq_fleet_peek_serves_total", fleet("peek_serves")),
+        (
+            "tq_fleet_peek_serve_misses_total",
+            fleet("peek_serve_misses"),
+        ),
+        ("tq_fleet_peek_fetches_total", fleet("peek_fetches")),
+        (
+            "tq_fleet_peek_fetch_failures_total",
+            fleet("peek_fetch_failures"),
+        ),
+        ("tq_fleet_redirects_issued_total", fleet("redirects_issued")),
+        (
+            "tq_fleet_remote_owned_jobs_total",
+            fleet("remote_owned_jobs"),
+        ),
+        ("tq_fleet_probe_rounds_total", fleet("probe_rounds")),
+        ("tq_fleet_peers_alive", fleet("peers_alive")),
+    ]
+}
+
+#[test]
+fn each_node_renders_its_own_stats_as_metrics() {
+    tq_obs::set_enabled(true);
+    tq_obs::log::set_stderr(false);
+    let addrs = reserve_addrs(2);
+    let servers = start_fleet(&addrs);
+    let digest = Workload::build(AppId::Wfs, Scale::Tiny).digest();
+    let owner = tq_fleet::Ring::new(addrs.clone())
+        .owner_of(&digest)
+        .expect("owner")
+        .to_string();
+    let non_owner = addrs.iter().find(|a| **a != owner).expect("two nodes");
+
+    // Through the non-owner: a tagged cold job (peeked from the owner),
+    // its memo hit, and an untagged retry of another tool.
+    let mut client = Client::connect(non_owner).expect("connect non-owner");
+    let spec = JobSpec::new(AppId::Wfs, Scale::Tiny, ToolId::Tquad);
+    let mut trail = RetryTrail::default();
+    client
+        .submit_with_retry_trail(spec.clone(), 0, &mut trail)
+        .expect("tagged submit");
+    client
+        .submit_with_retry_trail(spec, 0, &mut RetryTrail::default())
+        .expect("memo hit");
+    let untagged = tq_profd::Request::Submit {
+        spec: JobSpec::new(AppId::Wfs, Scale::Tiny, ToolId::Gprof),
+        attempt: 1,
+        job_id: 0,
+    };
+    assert!(client.request(&untagged).expect("untagged submit").is_ok());
+
+    for addr in &addrs {
+        let mut c = Client::connect(addr).expect("connect");
+        let before = c.stats().expect("stats");
+        let metrics = c.metrics().expect("metrics");
+        let after = c.stats().expect("stats");
+        for ((name, was), (_, now)) in stats_figures(&before)
+            .into_iter()
+            .zip(stats_figures(&after))
+        {
+            let family = name.strip_suffix("_count").unwrap_or(name);
+            assert_eq!(
+                metrics.matches(&format!("# TYPE {family} ")).count(),
+                1,
+                "{addr}: {family} appears once"
+            );
+            let got = sample(&metrics, name).unwrap_or_else(|| panic!("{addr}: no {name}"));
+            if name == "tq_fleet_probe_rounds_total" {
+                // The prober ticks on its own clock between the reads.
+                assert!(
+                    was <= got && got <= now,
+                    "{addr}: {name} {was}..{now}, got {got}"
+                );
+            } else {
+                assert_eq!(was, now, "{addr}: {name} moved while idle");
+                assert_eq!(got, was, "{addr}: {name} differs from its stats figure");
+            }
+        }
+        let fetches = sample(&metrics, "tq_fleet_peek_fetches_total").unwrap();
+        let serves = sample(&metrics, "tq_fleet_peek_serves_total").unwrap();
+        if addr == non_owner {
+            assert_eq!((fetches, serves), (1, 0), "the non-owner fetched");
+            assert_eq!(sample(&metrics, "tq_profd_jobs_submitted_total"), Some(3));
+            assert_eq!(sample(&metrics, "tq_profd_result_hits_total"), Some(1));
+            assert_eq!(sample(&metrics, "tq_job_tagged_total"), Some(2));
+            assert_eq!(sample(&metrics, "tq_job_minted_total"), Some(1));
+            assert_eq!(sample(&metrics, "tq_profd_retries_observed_total"), Some(1));
+        } else {
+            assert_eq!((fetches, serves), (0, 1), "the owner served");
+            assert_eq!(sample(&metrics, "tq_profd_jobs_submitted_total"), Some(0));
+            assert_eq!(sample(&metrics, "tq_profd_capture_misses_total"), Some(1));
+        }
+    }
 
     shutdown_all(&addrs, servers);
 }

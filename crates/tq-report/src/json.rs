@@ -14,9 +14,17 @@
 //!   vs [`Json::Num`]) so `u64` counters round-trip losslessly.
 //! * The parser accepts exactly the JSON this writer produces plus
 //!   insignificant whitespace; numbers with a fraction or exponent parse
-//!   as [`Json::Num`].
+//!   as [`Json::Num`]. It reads untrusted protocol lines, so arrays and
+//!   objects nest at most [`MAX_DEPTH`] deep: deeper input is an error,
+//!   never a stack overflow.
 
 use std::fmt::Write as _;
+
+/// Deepest array/object nesting [`Json::parse`] accepts. The documents
+/// the workspace writes (profiles, Chrome traces, service responses) nest
+/// fewer than ten levels; each level costs the parser one stack frame, so
+/// the bound keeps a hostile line from overflowing a thread's stack.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -219,7 +227,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(JsonError {
@@ -284,7 +292,8 @@ fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Parse the value at `pos`, nested inside `depth` arrays/objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(b, pos);
     let Some(&c) = b.get(*pos) else {
         return Err(JsonError {
@@ -292,6 +301,12 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
             what: "unexpected end of input",
         });
     };
+    if matches!(c, b'[' | b'{') && depth == MAX_DEPTH {
+        return Err(JsonError {
+            pos: *pos,
+            what: "nesting too deep",
+        });
+    }
     match c {
         b'n' => expect(b, pos, "null").map(|()| Json::Null),
         b't' => expect(b, pos, "true").map(|()| Json::Bool(true)),
@@ -306,7 +321,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -342,7 +357,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                     });
                 }
                 *pos += 1;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(b, pos, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -463,18 +478,28 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
     let text = std::str::from_utf8(&b[start..*pos]).expect("ascii digits");
     if !is_float {
-        if text.starts_with('-') {
-            if let Ok(v) = text.parse::<i64>() {
-                return Ok(Json::Int(v));
-            }
-        } else if let Ok(v) = text.parse::<u64>() {
+        match text.parse::<i64>() {
+            Ok(v) if v < 0 => return Ok(Json::Int(v)),
+            // `-0` is the integer 0, which the writer spells `0`.
+            Ok(0) => return Ok(Json::UInt(0)),
+            _ => {}
+        }
+        if let Ok(v) = text.parse::<u64>() {
             return Ok(Json::UInt(v));
         }
     }
-    text.parse::<f64>().map(Json::Num).map_err(|_| JsonError {
-        pos: start,
-        what: "bad number",
-    })
+    match text.parse::<f64>() {
+        Ok(v) if v.is_finite() => Ok(Json::Num(v)),
+        // An overflowing number would render as `null`.
+        Ok(_) => Err(JsonError {
+            pos: start,
+            what: "number out of range",
+        }),
+        Err(_) => Err(JsonError {
+            pos: start,
+            what: "bad number",
+        }),
+    }
 }
 
 #[cfg(test)]
@@ -533,6 +558,24 @@ mod tests {
     }
 
     #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        // A spawned thread has the default stack, like a profd connection
+        // thread: 100 000 `[` must come back as an error, not abort.
+        let deep = "[".repeat(100_000);
+        let res = std::thread::spawn(move || Json::parse(&deep))
+            .join()
+            .unwrap();
+        assert_eq!(res.unwrap_err().what, "nesting too deep");
+        let nest = |open: &str, close: &str, n: usize| open.repeat(n) + &close.repeat(n);
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            let at_bound = nest(open, close, MAX_DEPTH).replace("{\"k\":}", "{\"k\":0}");
+            assert!(Json::parse(&at_bound).is_ok(), "{open} x {MAX_DEPTH}");
+            let over = nest(open, close, MAX_DEPTH + 1).replace("{\"k\":}", "{\"k\":0}");
+            assert_eq!(Json::parse(&over).unwrap_err().what, "nesting too deep");
+        }
+    }
+
+    #[test]
     fn integer_float_distinction() {
         assert_eq!(
             Json::parse("18446744073709551615").unwrap(),
@@ -542,6 +585,16 @@ mod tests {
         assert_eq!(Json::parse("2.0").unwrap(), Json::Num(2.0));
         assert_eq!(Json::parse("1e3").unwrap(), Json::Num(1000.0));
         assert_eq!(Json::Num(f64::NAN).render(), "null");
+        // What the parser accepts, the writer writes back unchanged.
+        assert_eq!(Json::parse("-0").unwrap(), Json::UInt(0));
+        assert_eq!(
+            Json::parse("1e999").unwrap_err().what,
+            "number out of range"
+        );
+        assert_eq!(
+            Json::parse("-1e999").unwrap_err().what,
+            "number out of range"
+        );
     }
 
     #[test]

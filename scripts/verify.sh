@@ -45,6 +45,13 @@ diff "$smoke_dir/wfs.j1/quad.out" "$smoke_dir/wfs.j4/quad.out" \
 if ./target/release/tq tquad --app img --scale tiny --interval 0 > /dev/null 2>&1; then
     echo "verify: FAIL (--interval 0 must be rejected)"; exit 1
 fi
+# A flag the subcommand does not read is an error, not silently ignored.
+if ./target/release/tq phases --scale tiny --strategy interval \
+    > /dev/null 2> "$smoke_dir/unknown_flag.err"; then
+    echo "verify: FAIL (unknown flag --strategy must be rejected)"; exit 1
+fi
+grep -q -- "--strategy" "$smoke_dir/unknown_flag.err" \
+    || { echo "verify: FAIL (unknown-flag error does not name --strategy)"; exit 1; }
 
 echo "==> TQTRACE5 smoke: capture <= 4.5 B/event, live profiles == capture replays"
 # The <= 0.7x-the-row-stream check against the reference row codec lives
@@ -131,6 +138,10 @@ done
 [ -n "$addr" ] || { echo "verify: FAIL (tq serve did not come up)"; exit 1; }
 ./target/release/tq submit --addr "$addr" --tool gprof --scale tiny > /dev/null 2>&1 \
     || { echo "verify: FAIL (submit against smoke server)"; exit 1; }
+# quad has no interval: a submit without --interval must not trip the
+# positive-interval check.
+./target/release/tq submit --addr "$addr" --tool quad --scale tiny > /dev/null 2>&1 \
+    || { echo "verify: FAIL (quad submit without --interval)"; exit 1; }
 ./target/release/tq submit --addr "$addr" --metrics > "$smoke_dir/metrics.txt" 2>&1 \
     || { echo "verify: FAIL (metrics request)"; exit 1; }
 for needle in \
