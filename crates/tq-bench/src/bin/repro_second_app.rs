@@ -5,19 +5,15 @@
 //! prints its flat profile and phase structure, demonstrating that nothing
 //! in the reproduction is wfs-specific.
 
-use tq_bench::{banner, save};
+use tq_bench::{save, scale};
 use tq_gprof::{GprofOptions, GprofTool};
-use tq_imgproc::{ImgApp, ImgConfig};
+use tq_imgproc::ImgApp;
 use tq_quad::{cluster_by_communication, ClusterOptions, QuadOptions, QuadTool};
 use tq_tquad::{phase_table, PhaseDetector, TquadOptions, TquadTool};
 
 fn main() {
-    banner("Second application: edge detection + DCT compression pipeline");
-    let cfg = match std::env::var("TQ_SCALE").as_deref() {
-        Ok("tiny") => ImgConfig::tiny(),
-        Ok("small") => ImgConfig::small(),
-        _ => ImgConfig::scaled(),
-    };
+    println!("=== Second application: edge detection + DCT compression pipeline ===");
+    let cfg = scale().img_config();
     println!(
         "image {}×{}, {} blur passes, {} DCT blocks\n",
         cfg.width,

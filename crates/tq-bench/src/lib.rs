@@ -1,32 +1,44 @@
 //! # tq-bench — experiment harness for the tQUAD reproduction
 //!
-//! One `repro_*` binary per table/figure of the paper (see the
-//! per-experiment index in `DESIGN.md`), plus plain timing benches
-//! ([`bench()`], `benches/*.rs` with `harness = false`) for the performance
-//! claims and the design-choice ablations. Binaries print the paper-shaped
-//! rows/series to stdout and drop machine-readable copies under
-//! `results/`.
+//! `repro_paper` regenerates Tables I–IV and Figures 6–7 of the paper in
+//! one pass; `repro_overhead` (§V.A), `repro_slices` (§V.B) and
+//! `repro_second_app` cover the rest (see the per-experiment index in
+//! `DESIGN.md`). Plain timing benches ([`bench()`], `benches/*.rs` with
+//! `harness = false`) back the performance claims and the design-choice
+//! ablations. Binaries print the paper-shaped rows/series to stdout and
+//! drop machine-readable copies under `results/`.
 //!
-//! All experiments default to [`WfsConfig::paper_scaled`]; set
+//! All experiments default to [`tq_wfs::WfsConfig::paper_scaled`]; set
 //! `TQ_SCALE=small` or `TQ_SCALE=tiny` to shrink them (CI smoke runs).
 
+use std::env::VarError;
 use std::path::PathBuf;
-use tq_wfs::{WfsApp, WfsConfig};
+use tq_profd::Scale;
+use tq_wfs::WfsApp;
 
-/// The workload selected by the `TQ_SCALE` environment variable
-/// (`paper` default, `small`, `tiny`).
-pub fn scale_config() -> WfsConfig {
-    match std::env::var("TQ_SCALE").as_deref() {
-        Ok("tiny") => WfsConfig::tiny(),
-        Ok("small") => WfsConfig::small(),
-        _ => WfsConfig::paper_scaled(),
+/// The scale named by the `TQ_SCALE` environment variable (`tiny`,
+/// `small` or `paper`; unset means paper). Any other value prints the
+/// parse error and exits with status 1, so a typo never starts a
+/// paper-scale run.
+pub fn scale() -> Scale {
+    parse_scale(std::env::var("TQ_SCALE")).unwrap_or_else(|e| {
+        eprintln!("TQ_SCALE: {e}");
+        std::process::exit(1)
+    })
+}
+
+fn parse_scale(var: Result<String, VarError>) -> Result<Scale, String> {
+    match var {
+        Err(VarError::NotPresent) => Ok(Scale::Paper),
+        Err(e) => Err(e.to_string()),
+        Ok(v) => Scale::parse(&v),
     }
 }
 
-/// Build the wfs app at the selected scale (fixed seed: experiments are
-/// deterministic).
+/// Build the wfs app at the [`scale()`] `TQ_SCALE` selects (fixed seed:
+/// experiments are deterministic).
 pub fn scale_app() -> WfsApp {
-    WfsApp::build(scale_config())
+    WfsApp::build(scale().wfs_config())
 }
 
 /// Directory for machine-readable experiment outputs (`results/` at the
@@ -46,9 +58,9 @@ pub fn save(name: &str, contents: &str) {
     println!("[saved {}]", path.display());
 }
 
-/// Banner with the experiment id and the workload in use.
+/// Banner with the experiment id and the wfs workload in use.
 pub fn banner(what: &str) {
-    let c = scale_config();
+    let c = scale().wfs_config();
     println!("=== {what} ===");
     println!(
         "workload: {} speakers, fft {}, chunk {}, {} chunks, {} trajectory points ({} samples)",
@@ -159,9 +171,20 @@ mod tests {
 
     #[test]
     fn default_scale_is_paper() {
-        // The env var may leak from a caller; only assert the fallback path.
-        if std::env::var("TQ_SCALE").is_err() {
-            assert_eq!(scale_config(), WfsConfig::paper_scaled());
+        assert_eq!(parse_scale(Err(VarError::NotPresent)), Ok(Scale::Paper));
+        assert_eq!(Scale::Paper.wfs_config(), tq_wfs::WfsConfig::paper_scaled());
+    }
+
+    #[test]
+    fn tq_scale_parses_strictly() {
+        for s in [Scale::Tiny, Scale::Small, Scale::Paper] {
+            assert_eq!(parse_scale(Ok(s.as_str().into())), Ok(s));
         }
+        for typo in ["smal", "", "Tiny", " tiny"] {
+            let err = parse_scale(Ok(typo.into())).unwrap_err();
+            assert!(err.contains("unknown scale"), "{typo:?}: {err}");
+        }
+        let not_unicode = VarError::NotUnicode(std::ffi::OsString::from("tiny"));
+        assert!(parse_scale(Err(not_unicode)).is_err());
     }
 }

@@ -72,6 +72,24 @@ impl Scale {
             other => Err(format!("unknown scale `{other}` (tiny|small|paper)")),
         }
     }
+
+    /// The wfs configuration at this scale.
+    pub fn wfs_config(self) -> WfsConfig {
+        match self {
+            Scale::Tiny => WfsConfig::tiny(),
+            Scale::Small => WfsConfig::small(),
+            Scale::Paper => WfsConfig::paper_scaled(),
+        }
+    }
+
+    /// The image-pipeline configuration at this scale.
+    pub fn img_config(self) -> ImgConfig {
+        match self {
+            Scale::Tiny => ImgConfig::tiny(),
+            Scale::Small => ImgConfig::small(),
+            Scale::Paper => ImgConfig::scaled(),
+        }
+    }
 }
 
 /// A buildable capture workload: program plus staged input.
@@ -91,12 +109,7 @@ impl Workload {
     pub fn build(app: AppId, scale: Scale) -> Workload {
         match app {
             AppId::Wfs => {
-                let config = match scale {
-                    Scale::Tiny => WfsConfig::tiny(),
-                    Scale::Small => WfsConfig::small(),
-                    Scale::Paper => WfsConfig::paper_scaled(),
-                };
-                let a = WfsApp::build(config);
+                let a = WfsApp::build(scale.wfs_config());
                 Workload {
                     program: a.compiled.program.clone(),
                     input_name: tq_wfs::INPUT_WAV.into(),
@@ -104,12 +117,7 @@ impl Workload {
                 }
             }
             AppId::Img => {
-                let config = match scale {
-                    Scale::Tiny => ImgConfig::tiny(),
-                    Scale::Small => ImgConfig::small(),
-                    Scale::Paper => ImgConfig::scaled(),
-                };
-                let a = ImgApp::build(config);
+                let a = ImgApp::build(scale.img_config());
                 Workload {
                     program: a.compiled.program.clone(),
                     input_name: tq_imgproc::INPUT_PGM.into(),

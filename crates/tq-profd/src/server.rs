@@ -22,7 +22,9 @@
 //! Shutdown is graceful for *running* work only: jobs still waiting in the
 //! queue are shed with an error reply (counted in `sheds`), in-flight jobs
 //! finish and reply, workers exit, the acceptor is woken by a
-//! self-connection and joins.
+//! self-connection and joins. [`Server::join`] returns only once every
+//! accepted submit (and the shutdown request itself) has its reply on the
+//! socket, so a process that exits right after it drops no reply.
 //!
 //! Every degradation path above can be rehearsed: `tq-faults` hooks sit at
 //! the accept, read, worker, cache-IO and replay points and are free when
@@ -160,6 +162,34 @@ struct Shared {
     /// Fleet membership, routing and peeking (None: serving alone).
     fleet: Option<FleetState>,
     shutdown: AtomicBool,
+    /// Submit and shutdown requests whose reply is not yet written (see
+    /// [`ReplyGuard`]); `join` waits for it to reach zero.
+    replying: Mutex<usize>,
+    /// Signalled when `replying` drops to zero.
+    replied: Condvar,
+}
+
+/// Counts one request in `replying` from before it is handled until its
+/// reply is written, however the connection thread leaves. Taken before a
+/// submit's push and before shutdown begins, so a job the queue accepted
+/// is always counted by the time `join` looks.
+struct ReplyGuard<'a>(&'a Shared);
+
+impl<'a> ReplyGuard<'a> {
+    fn hold(shared: &'a Shared) -> ReplyGuard<'a> {
+        *lock(&shared.replying) += 1;
+        ReplyGuard(shared)
+    }
+}
+
+impl Drop for ReplyGuard<'_> {
+    fn drop(&mut self) {
+        let mut n = lock(&self.0.replying);
+        *n -= 1;
+        if *n == 0 {
+            self.0.replied.notify_all();
+        }
+    }
 }
 
 /// Why a submit was not enqueued.
@@ -849,7 +879,10 @@ fn connection_loop(shared: Arc<Shared>, addr: SocketAddr, stream: TcpStream) {
                 &[("point", tq_faults::FaultPoint::ReadStall.key().into())],
             );
         }
-        let (response, stop) = match Request::decode(&line) {
+        let request = Request::decode(&line);
+        let _replying = matches!(request, Ok(Request::Submit { .. } | Request::Shutdown))
+            .then(|| ReplyGuard::hold(&shared));
+        let (response, stop) = match request {
             // Peeks write a multi-line response (header + frames) straight
             // onto the socket instead of the one-line path below.
             Ok(Request::Peek {
@@ -925,6 +958,8 @@ impl Server {
             conns: AtomicUsize::new(0),
             fleet,
             shutdown: AtomicBool::new(false),
+            replying: Mutex::new(0),
+            replied: Condvar::new(),
         });
 
         let prober = match &shared.fleet {
@@ -1062,7 +1097,9 @@ impl Server {
     }
 
     /// Block until the acceptor and all workers have exited (after a
-    /// shutdown request drained the queue).
+    /// shutdown request drained the queue) and every accepted submit has
+    /// its reply written. A client that stops reading holds the wait for
+    /// at most `job_timeout`.
     pub fn join(self) -> Result<(), String> {
         self.acceptor
             .join()
@@ -1073,6 +1110,12 @@ impl Server {
         if let Some(p) = self.prober {
             p.join().map_err(|_| "prober panicked".to_string())?;
         }
+        let shared = &self.shared;
+        let _ = shared.replied.wait_timeout_while(
+            lock(&shared.replying),
+            shared.config.job_timeout,
+            |n| *n > 0,
+        );
         Ok(())
     }
 }

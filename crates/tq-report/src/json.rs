@@ -2,7 +2,7 @@
 //!
 //! The workspace builds with zero external crates, so `serde_json` is
 //! replaced by this module. It is shared by the machine-readable report
-//! emitters (`repro_table4`'s profile dump) and by the `tq-profd` service
+//! emitters (`tq_tquad::profile_json`) and by the `tq-profd` service
 //! protocol (JSON-lines over TCP).
 //!
 //! Design points:

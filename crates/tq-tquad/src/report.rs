@@ -3,6 +3,7 @@
 
 use crate::phase::Phase;
 use crate::profile::TquadProfile;
+use crate::series::SliceEntry;
 use tq_report::{f, Align, Json, SeriesChart, Table};
 
 /// Which bandwidth measure a figure plots.
@@ -26,6 +27,16 @@ impl Measure {
             Measure::ReadExcl => "read accesses excluding the stack area",
             Measure::WriteIncl => "write accesses including the stack area",
             Measure::WriteExcl => "write accesses excluding the stack area",
+        }
+    }
+
+    /// The bytes of `e` this measure counts.
+    pub fn of(self, e: &SliceEntry) -> u64 {
+        match self {
+            Measure::ReadIncl => e.r_incl,
+            Measure::ReadExcl => e.r_excl,
+            Measure::WriteIncl => e.w_incl,
+            Measure::WriteExcl => e.w_excl,
         }
     }
 }
@@ -132,12 +143,7 @@ pub fn figure_chart(
             continue;
         };
         let interval = profile.interval as f64;
-        let values = k.series.dense(n, |e| match measure {
-            Measure::ReadIncl => e.r_incl,
-            Measure::ReadExcl => e.r_excl,
-            Measure::WriteIncl => e.w_incl,
-            Measure::WriteExcl => e.w_excl,
-        });
+        let values = k.series.dense(n, |e| measure.of(e));
         chart.series(*name, values.into_iter().map(|v| v / interval).collect());
     }
     chart
@@ -146,7 +152,7 @@ pub fn figure_chart(
 /// Machine-readable form of a full profile (per-kernel sparse slice
 /// series included). Key order is fixed and kernels appear in routine
 /// order, so the canonical rendering of the result is deterministic —
-/// `repro_table4` saves it, and the `tq-profd` cache relies on it for
+/// `tq-profd` serves it as the tquad profile and relies on it for
 /// byte-identical replies.
 pub fn profile_json(profile: &TquadProfile) -> Json {
     let kernels: Vec<Json> = profile

@@ -53,6 +53,26 @@ fi
 grep -q -- "--strategy" "$smoke_dir/unknown_flag.err" \
     || { echo "verify: FAIL (unknown-flag error does not name --strategy)"; exit 1; }
 
+echo "==> repro_paper smoke (TQ_SCALE=tiny): the nine artefacts, repo results/ untouched"
+# Run from a scratch cwd: without CARGO_MANIFEST_DIR the bin writes to
+# <cwd>/results/. The paper's predicates hold only at paper scale, so this
+# checks the run and its artefact set, not the numbers.
+repro_bin="$(pwd)/target/release/repro_paper"
+cp -R results "$smoke_dir/results.before"
+mkdir "$smoke_dir/repro"
+(cd "$smoke_dir/repro" && TQ_SCALE=tiny "$repro_bin" > repro.out) \
+    || { echo "verify: FAIL (repro_paper exited non-zero)"; exit 1; }
+artefacts=$(cd "$smoke_dir/repro/results" && LC_ALL=C ls | tr '\n' ' ')
+[ "$artefacts" = "fig6.html fig6_read_incl_series.tsv fig7_write_excl_series.tsv \
+qdu_graph.dot table1_call_graph.csv table1_flat_profile.csv table2_quad.csv \
+table3_instrumented_profile.csv table4_phases.csv " ] \
+    || { echo "verify: FAIL (repro_paper wrote [$artefacts], not the nine artefacts)"; exit 1; }
+diff -r results "$smoke_dir/results.before" > /dev/null \
+    || { echo "verify: FAIL (repro_paper changed the repo's results/)"; exit 1; }
+if (cd "$smoke_dir/repro" && TQ_SCALE=smal "$repro_bin" > /dev/null 2>&1); then
+    echo "verify: FAIL (an unknown TQ_SCALE must be rejected)"; exit 1
+fi
+
 echo "==> TQTRACE5 smoke: capture <= 4.5 B/event, live profiles == capture replays"
 # The <= 0.7x-the-row-stream check against the reference row codec lives
 # in crates/tq-trace/tests/row_oracle.rs.
