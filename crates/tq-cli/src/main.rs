@@ -23,7 +23,7 @@
 //! tq disasm  [--routine NAME]
 //! tq serve   [--addr HOST:PORT] [--workers N] [--state-dir PATH]
 //!            [--cache-mb N] [--queue N] [--timeout-ms N] [--capture-fuel N]
-//!            [--max-conns N] [--read-timeout-ms N] [--slow-job-ms N]
+//!            [--max-conns N] [--read-timeout-ms N]
 //!            [--peers A,B,C] [--advertise HOST:PORT] [--probe-interval-ms N]
 //!
 //! every VM-running subcommand: [--instr full|filter:…|sample:…]
@@ -31,20 +31,18 @@
 //!            [--app …] [--scale …] [--interval N] [--exclude-stack]
 //!            [--exclude-libs|--track-libs] [--retries N] [--timeout SECS]
 //!            [--peers A,B,C] [--fallback-hint-ms N] [--backoff-cap-ms N]
-//!            | --route | --stats | --metrics | --logs | --ping | --shutdown
-//! tq fleet-status --peers A,B,C [--metrics] [--timeout SECS]
-//! tq fleet-trace  --peers A,B,C --out FILE [--timeout SECS]
+//!            | --route | --stats | --metrics | --ping | --shutdown
 //! ```
 //!
-//! `--stats`/`--metrics` become roster-wide when `--peers` is given:
-//! stats print one JSON line per peer, metrics print one merged
-//! exposition with a `peer` label on every sample.
+//! `--stats`/`--metrics` ask the `--addr` node only. A submitted job's
+//! `submit_done` record on stderr states its layers: where its capture
+//! came from and where its time went on the worker that ran it.
 //!
 //! See `docs/CLI.md` for the complete flag-by-flag reference and
 //! `docs/OPERATIONS.md` for running `tq serve` in production (overload
 //! behaviour, fault injection via `TQ_FAULTS`, the structured event log
-//! and its `TQ_LOG` filter, reading `stats`/`metrics`, and reading a
-//! merged distributed trace).
+//! and its strict `TQ_LOG` filter, reading `stats`/`metrics`, and reading
+//! a job's layers).
 //!
 //! `serve`/`submit` are the front end for the `tq-profd` service: one
 //! daemon records each workload once and answers every profiling variant
@@ -146,15 +144,12 @@ fn known_flags(cmd: &str) -> Option<&'static str> {
         "disasm" => "app scale routine",
         "serve" => {
             "addr workers state-dir cache-mb queue timeout-ms capture-fuel max-conns \
-             read-timeout-ms peers advertise probe-interval-ms slow-job-ms"
+             read-timeout-ms peers advertise probe-interval-ms"
         }
         "submit" => {
-            "addr timeout fallback-hint-ms backoff-cap-ms peers ping shutdown stats logs \
-             metrics route tool app scale interval exclude-stack exclude-libs track-libs \
-             instr retries"
+            "addr timeout fallback-hint-ms backoff-cap-ms peers ping shutdown stats metrics \
+             route tool app scale interval exclude-stack exclude-libs track-libs instr retries"
         }
-        "fleet-status" => "peers metrics timeout",
-        "fleet-trace" => "peers out timeout",
         _ => return None,
     })
 }
@@ -303,20 +298,6 @@ fn app_for(args: &Args) -> Result<App, String> {
     }
 }
 
-/// Socket policy for fleet scrapes (`fleet-status`, `fleet-trace`):
-/// short timeouts, because a scrape visits every peer sequentially and
-/// an unreachable member must cost seconds, not the submit default's
-/// ten-minute read budget. `--timeout SECS` overrides.
-fn fleet_scrape_config(args: &Args) -> Result<ClientConfig, String> {
-    let timeout = Duration::from_secs(args.positive_u64_or("timeout", 5)?);
-    let defaults = ClientConfig::default();
-    Ok(ClientConfig {
-        connect_timeout: defaults.connect_timeout.min(timeout),
-        read_timeout: Some(timeout),
-        retry: RetryPolicy::default(),
-    })
-}
-
 /// `--peers a,b,c` as a cleaned list (empty when the flag is absent).
 fn peers_arg(args: &Args) -> Vec<String> {
     args.get("peers")
@@ -340,8 +321,8 @@ fn lib_policy(args: &Args) -> LibPolicy {
 }
 
 fn usage() -> String {
-    "usage: tq <run|capture|gprof|tquad|quad|phases|intervals|disasm|serve|submit|\n\
-     \u{20}          fleet-status|fleet-trace> [options]\n\
+    "usage: tq <run|capture|gprof|tquad|quad|phases|intervals|disasm|serve|submit>\n\
+     \u{20}          [options]\n\
      common options: --app wfs|img --scale tiny|small|paper\n\
      \u{20}               --jobs N (record once, shard the replay over N threads;\n\
      \u{20}               the profile is byte-identical to a sequential run)\n\
@@ -372,8 +353,8 @@ fn usage() -> String {
      \u{20}               fault injection via TQ_FAULTS=, see docs/OPERATIONS.md)\n\
      \u{20}               --peers A,B,C (join a fleet; cache shards by digest)\n\
      \u{20}               --advertise HOST:PORT --probe-interval-ms N\n\
-     \u{20}               --slow-job-ms N (warn-log jobs slower than N; 0 = off)\n\
-     \u{20}               structured event log filter via TQ_LOG=level, see docs\n\
+     \u{20}               structured event log filter via TQ_LOG=off|error|warn|\n\
+     \u{20}               info|debug|trace (any other value exits 1), see docs\n\
      submit options: --addr HOST:PORT --tool tquad|quad|gprof|phases --app --scale\n\
      \u{20}               --interval N --exclude-stack --exclude-libs --track-libs\n\
      \u{20}               --instr SPEC (reduced-instrumentation job variant)\n\
@@ -381,15 +362,10 @@ fn usage() -> String {
      \u{20}               --timeout SECS (connect/read socket timeouts)\n\
      \u{20}               --peers A,B,C (route to the ring owner, with failover)\n\
      \u{20}               --fallback-hint-ms N --backoff-cap-ms N (retry tuning)\n\
-     \u{20}               (or one of: --route --stats --metrics --logs --ping\n\
-     \u{20}               --shutdown;\n\
-     \u{20}               --stats/--metrics with --peers scrape the whole roster;\n\
-     \u{20}               exit 3 = job finally failed after exhausting retries)\n\
-     fleet-status:   --peers A,B,C (required) --metrics --timeout SECS\n\
-     \u{20}               (per-peer health table, or one merged peer-labelled\n\
-     \u{20}               Prometheus exposition with --metrics)\n\
-     fleet-trace:    --peers A,B,C --out FILE (merge every peer's span ring\n\
-     \u{20}               into one clock-aligned Chrome trace; open in Perfetto)\n\
+     \u{20}               (or one of: --route --stats --metrics --ping --shutdown;\n\
+     \u{20}               --stats/--metrics ask the --addr node only;\n\
+     \u{20}               exit 3 = job finally failed after exhausting retries;\n\
+     \u{20}               stderr's submit_done record states the job's layers)\n\
      full reference: docs/CLI.md; operations handbook: docs/OPERATIONS.md"
         .to_string()
 }
@@ -406,6 +382,16 @@ struct Failure {
 }
 
 impl Failure {
+    /// A config error the usage text does not help with: exit 1, the
+    /// message alone.
+    fn config(message: String) -> Failure {
+        Failure {
+            message,
+            exit: 1,
+            print_usage: false,
+        }
+    }
+
     /// Final submit failure: exit 3, no usage text (the invocation was
     /// fine; the service was not).
     fn submit(message: String) -> Failure {
@@ -449,6 +435,7 @@ fn main() -> ExitCode {
 }
 
 fn run(argv: &[String]) -> Result<(), Failure> {
+    tq_obs::log::init_from_env().map_err(Failure::config)?;
     let Some(cmd) = argv.first() else {
         return Err("missing subcommand".into());
     };
@@ -813,8 +800,6 @@ fn run(argv: &[String]) -> Result<(), Failure> {
                     "probe-interval-ms",
                     defaults.probe_interval.as_millis() as u64,
                 )?),
-                // 0 disables the slow-job log entirely.
-                slow_job_ms: args.u64_or("slow-job-ms", defaults.slow_job_ms)?,
             };
             // Fault plans only arm the long-running service, never the
             // one-shot subcommands: rehearsing failure is a server
@@ -900,53 +885,17 @@ fn run(argv: &[String]) -> Result<(), Failure> {
                 let mut client = Client::connect_with(addr, config)?;
                 let r = client.shutdown()?;
                 println!("{}", r.encode());
-            } else if args.has("stats") {
-                // `--peers` makes the query roster-aware: one JSON line
-                // per member instead of silently asking a single host.
-                if peers.is_empty() {
-                    let mut client = Client::connect_with(addr, config)?;
+            } else if args.has("stats") || args.has("metrics") {
+                if !peers.is_empty() {
+                    return Err(Failure::config(
+                        "--stats and --metrics ask the --addr node only; drop --peers".into(),
+                    ));
+                }
+                let mut client = Client::connect_with(addr, config)?;
+                if args.has("stats") {
                     println!("{}", client.stats()?.render());
                 } else {
-                    for st in tq_profd::telemetry::scrape_fleet(&peers, &config) {
-                        let mut line = Json::obj([("peer", Json::from(st.addr.as_str()))]);
-                        match (st.stats, st.error) {
-                            (Some(stats), _) => line.set("stats", stats),
-                            (None, err) => line.set(
-                                "error",
-                                Json::from(err.unwrap_or_else(|| "no answer".into())),
-                            ),
-                        }
-                        println!("{}", line.render());
-                    }
-                }
-            } else if args.has("logs") {
-                // The server's bounded log tail, one JSON record per
-                // line — the daemon's recent history without touching
-                // its stderr.
-                let mut client = Client::connect_with(addr, config)?;
-                let (level, records) = client.logs_tail()?;
-                eprintln!("# level: {level}, {} record(s)", records.len());
-                for record in records {
-                    println!("{record}");
-                }
-            } else if args.has("metrics") {
-                if peers.is_empty() {
-                    let mut client = Client::connect_with(addr, config)?;
                     print!("{}", client.metrics()?);
-                } else {
-                    // Merged exposition with a `peer` label per sample —
-                    // the same document `tq fleet-status --metrics` prints.
-                    let scraped: Vec<(String, String)> =
-                        tq_profd::telemetry::scrape_fleet(&peers, &config)
-                            .into_iter()
-                            .filter_map(|st| st.metrics.map(|m| (st.addr, m)))
-                            .collect();
-                    if scraped.is_empty() {
-                        return Err("no fleet member answered a metrics request"
-                            .to_string()
-                            .into());
-                    }
-                    print!("{}", tq_profd::telemetry::merge_prometheus(&scraped));
                 }
             } else {
                 let tool = ToolId::parse(args.get("tool").unwrap_or("tquad"))?;
@@ -971,7 +920,7 @@ fn run(argv: &[String]) -> Result<(), Failure> {
                     // Ask the server who owns this job's digest — the
                     // answer is the same from every fleet member.
                     let mut client = Client::connect_with(addr, config)?;
-                    let resp = client.request(&Request::Route { spec, job_id: 0 })?;
+                    let resp = client.request(&Request::Route { spec })?;
                     println!("{}", resp.encode());
                     drop(cmd_span);
                     return Ok(());
@@ -986,7 +935,7 @@ fn run(argv: &[String]) -> Result<(), Failure> {
                     match Client::connect_with(addr, config) {
                         Ok(mut client) => client
                             .submit_with_retry_trail(spec, retries, &mut trail)
-                            .map(|(profile, cached)| (profile, cached, None)),
+                            .map(|(profile, _)| (profile, None)),
                         Err(e) => {
                             trail.attempts += 1;
                             trail.peers_tried.push(addr.to_string());
@@ -997,7 +946,7 @@ fn run(argv: &[String]) -> Result<(), Failure> {
                 } else {
                     FleetClient::with_config(peers, config)
                         .submit_with_trail(spec, retries, &mut trail)
-                        .map(|(profile, cached, served_by)| (profile, cached, Some(served_by)))
+                        .map(|(profile, _, served_by)| (profile, Some(served_by)))
                 };
                 // The full attempt trail as one structured JSON line on
                 // stderr — visible under TQ_LOG=debug, silent otherwise.
@@ -1007,17 +956,25 @@ fn run(argv: &[String]) -> Result<(), Failure> {
                     &[("trail", trail.to_json().render().into())],
                 );
                 match outcome {
-                    Ok((profile, cached, served_by)) => {
+                    Ok((profile, served_by)) => {
                         // Profile JSON alone on stdout (byte-identical
                         // cold vs warm); bookkeeping goes to stderr.
                         println!("{}", profile.render());
-                        let mut fields = vec![
-                            ("job_id", tq_profd::job_id_hex(trail.job_id).into()),
-                            ("cached", cached.into()),
-                            ("attempts", u64::from(trail.attempts).into()),
-                        ];
+                        // `capture:"memo"` among the layers says the result
+                        // memo answered.
+                        let mut fields = vec![("attempts", u64::from(trail.attempts).into())];
                         if let Some(by) = &served_by {
                             fields.push(("served_by", by.as_str().into()));
+                        }
+                        // The job's layers, one field each (`"capture":"peek"`).
+                        if let Some(Json::Obj(layers)) = &trail.layers {
+                            for (key, v) in layers {
+                                let value = match v.as_u64() {
+                                    Some(n) => n.into(),
+                                    None => v.as_str().unwrap_or_default().into(),
+                                };
+                                fields.push((key.as_str(), value));
+                            }
                         }
                         tq_obs::log::info("tq", "submit_done", &fields);
                     }
@@ -1029,7 +986,6 @@ fn run(argv: &[String]) -> Result<(), Failure> {
                             "tq",
                             "submit_failed",
                             &[
-                                ("job_id", tq_profd::job_id_hex(trail.job_id).into()),
                                 ("trail", trail.describe().into()),
                                 ("error", e.as_str().into()),
                             ],
@@ -1038,119 +994,6 @@ fn run(argv: &[String]) -> Result<(), Failure> {
                     }
                 }
             }
-        }
-        "fleet-status" => {
-            // Scrape stats + metrics from every roster member and render
-            // one fleet-level view; a dead peer is a row, not a failure.
-            let peers = peers_arg(&args);
-            if peers.is_empty() {
-                return Err("fleet-status requires --peers A,B,C (the fleet roster)".into());
-            }
-            let config = fleet_scrape_config(&args)?;
-            let statuses = tq_profd::telemetry::scrape_fleet(&peers, &config);
-            if args.has("metrics") {
-                // Merged Prometheus exposition alone on stdout, every
-                // sample labelled peer="addr".
-                let scraped: Vec<(String, String)> = statuses
-                    .into_iter()
-                    .filter_map(|st| st.metrics.map(|m| (st.addr, m)))
-                    .collect();
-                if scraped.is_empty() {
-                    return Err("no fleet member answered a metrics request"
-                        .to_string()
-                        .into());
-                }
-                print!("{}", tq_profd::telemetry::merge_prometheus(&scraped));
-            } else {
-                let mut table = tq_report::Table::new("fleet status")
-                    .col("peer", tq_report::Align::Left)
-                    .col("state", tq_report::Align::Left)
-                    .col("role", tq_report::Align::Left)
-                    .col("uptime_s", tq_report::Align::Right)
-                    .col("jobs", tq_report::Align::Right)
-                    .col("hits", tq_report::Align::Right)
-                    .col("misses", tq_report::Align::Right)
-                    .col("peek_srv", tq_report::Align::Right)
-                    .col("peek_fetch", tq_report::Align::Right)
-                    .col("slow", tq_report::Align::Right);
-                let mut errors: Vec<(String, String)> = Vec::new();
-                for st in statuses {
-                    match st.stats {
-                        Some(stats) => {
-                            // Fleet coordination counters live under the
-                            // nested `fleet` object; solo nodes have none.
-                            let u = |key: &str| {
-                                stats
-                                    .get(key)
-                                    .or_else(|| stats.get("fleet").and_then(|f| f.get(key)))
-                                    .and_then(Json::as_u64)
-                                    .map(|v| v.to_string())
-                                    .unwrap_or_else(|| "-".into())
-                            };
-                            let uptime = stats
-                                .get("uptime_seconds")
-                                .and_then(Json::as_f64)
-                                .map(|s| format!("{s:.1}"))
-                                .unwrap_or_else(|| "-".into());
-                            let role = stats
-                                .get("role")
-                                .and_then(Json::as_str)
-                                .unwrap_or("-")
-                                .to_string();
-                            table.row(vec![
-                                st.addr.clone(),
-                                "up".into(),
-                                role,
-                                uptime,
-                                u("jobs_submitted"),
-                                u("cache_hits"),
-                                u("cache_misses"),
-                                u("peek_serves"),
-                                u("peek_fetches"),
-                                u("slow_jobs"),
-                            ]);
-                        }
-                        None => {
-                            table.row(vec![
-                                st.addr.clone(),
-                                "unreachable".into(),
-                                "-".into(),
-                                "-".into(),
-                                "-".into(),
-                                "-".into(),
-                                "-".into(),
-                                "-".into(),
-                                "-".into(),
-                                "-".into(),
-                            ]);
-                            errors.push((st.addr, st.error.unwrap_or_else(|| "no answer".into())));
-                        }
-                    }
-                }
-                println!("{}", table.render());
-                for (addr, err) in errors {
-                    eprintln!("# {addr}: {err}");
-                }
-            }
-        }
-        "fleet-trace" => {
-            // One merged Chrome trace over every peer's span ring: clock
-            // offsets estimated per peer, each peer re-homed under its
-            // own pid, spans correlated across hops by args.job_id.
-            let peers = peers_arg(&args);
-            if peers.is_empty() {
-                return Err("fleet-trace requires --peers A,B,C (the fleet roster)".into());
-            }
-            let out = args
-                .get("out")
-                .ok_or("fleet-trace requires --out FILE (the merged trace to write)")?;
-            let config = fleet_scrape_config(&args)?;
-            let doc = tq_profd::telemetry::fetch_merged_trace(&peers, &config)?;
-            std::fs::write(out, &doc).map_err(|e| format!("write {out}: {e}"))?;
-            println!(
-                "fleet trace written to {out} ({} bytes; open in Perfetto or chrome://tracing)",
-                doc.len()
-            );
         }
         other => return Err(format!("unknown subcommand `{other}`").into()),
     }

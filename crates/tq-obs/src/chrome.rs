@@ -12,13 +12,11 @@
 //! this exporter re-parses with the workspace's own JSON parser. The
 //! verify-script smoke relies on that.
 
-use crate::span::{drain_spans, snapshot_spans, thread_names, SpanEvent};
+use crate::span::{drain_spans, thread_names, SpanEvent};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Synthetic process id for all tracks; the trace describes one process.
-/// Multi-process views exist too: `tq-profd`'s trace merger re-homes each
-/// peer's events under its own pid.
 const PID: u64 = 1;
 
 pub(crate) fn push_escaped(s: &str, out: &mut String) {
@@ -90,9 +88,6 @@ pub fn chrome_trace(events: &[SpanEvent], names: &BTreeMap<u64, String>) -> Stri
         push_micros(ev.start_ns, &mut out);
         out.push_str(",\"dur\":");
         push_micros(ev.dur_ns, &mut out);
-        if ev.job_id != 0 {
-            let _ = write!(out, ",\"args\":{{\"job_id\":\"{:016x}\"}}", ev.job_id);
-        }
         out.push('}');
     }
 
@@ -104,15 +99,6 @@ pub fn chrome_trace(events: &[SpanEvent], names: &BTreeMap<u64, String>) -> Stri
 /// `--trace-out`. The log is empty afterwards.
 pub fn drain_chrome_trace() -> String {
     let events = drain_spans();
-    let names = thread_names();
-    chrome_trace(&events, &names)
-}
-
-/// Export a copy of the global span log without clearing it: the form a
-/// live daemon serves over the wire (`tq-profd`'s `trace` request), where
-/// repeated exports must not steal each other's spans.
-pub fn snapshot_chrome_trace() -> String {
-    let events = snapshot_spans();
     let names = thread_names();
     chrome_trace(&events, &names)
 }
@@ -131,7 +117,6 @@ mod tests {
             tid,
             start_ns,
             dur_ns,
-            job_id: 0,
         }
     }
 
@@ -194,25 +179,6 @@ mod tests {
             metas[0].get("args").unwrap().get("name").unwrap().as_str(),
             Some("shard-0")
         );
-    }
-
-    #[test]
-    fn job_ids_are_hex_args_and_untagged_spans_have_none() {
-        let mut tagged = ev("routed", 1, 0, 10);
-        tagged.job_id = 0x00AB_CDEF_0123_4567;
-        let events = [tagged, ev("local", 1, 20, 10)];
-        let text = chrome_trace(&events, &BTreeMap::new());
-        let doc = Json::parse(&text).expect("trace parses");
-        let evs = trace_events(&doc);
-        assert_eq!(
-            evs[0]
-                .get("args")
-                .and_then(|a| a.get("job_id"))
-                .and_then(Json::as_str),
-            Some("00abcdef01234567"),
-            "{text}"
-        );
-        assert!(evs[1].get("args").is_none(), "untagged spans carry no args");
     }
 
     #[test]

@@ -9,13 +9,9 @@
 //!   into per-thread ring buffers. Each recording thread is its own
 //!   *track*, so a sharded replay shows one lane per shard when the log is
 //!   exported as Chrome trace-event JSON ([`chrome`]) and loaded in
-//!   `chrome://tracing` or Perfetto. Spans opened inside a [`with_job`]
-//!   scope carry a distributed-trace `job_id`, the correlation key the
-//!   fleet trace merger joins on;
-//! * **a structured event log** ([`log`]) — JSON-lines records with
-//!   severity levels, a `TQ_LOG` environment filter and a bounded
-//!   in-memory tail ring, so a daemon can export its recent history over
-//!   the wire;
+//!   `chrome://tracing` or Perfetto;
+//! * **a structured event log** ([`log`]) — JSON-lines records on stderr
+//!   with severity levels and a `TQ_LOG` environment filter;
 //! * **metrics** ([`counter`]/[`gauge`]/[`histogram`]) — process-global
 //!   monotonic counters, gauges and log₂ histograms behind cloneable
 //!   atomic handles, exported as Prometheus-style text exposition
@@ -41,11 +37,11 @@ pub mod log;
 pub mod metrics;
 pub mod span;
 
-pub use chrome::{chrome_trace, drain_chrome_trace, snapshot_chrome_trace};
+pub use chrome::{chrome_trace, drain_chrome_trace};
 pub use metrics::{counter, gauge, histogram, prometheus_text, Counter, Gauge, Histogram};
 pub use span::{
-    current_job, current_tid, drain_spans, dropped_spans, set_thread_name, snapshot_spans, span,
-    span_named, thread_names, with_job, JobGuard, SpanEvent, SpanGuard,
+    current_tid, drain_spans, dropped_spans, set_thread_name, span, span_named, thread_names,
+    SpanEvent, SpanGuard,
 };
 
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -100,12 +96,9 @@ fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
 
-/// Nanoseconds since the process epoch. Public because distributed
-/// tracing needs it: a client timestamps its round-trip to a peer's
-/// `trace` endpoint in this clock, the peer reports its own `now_ns`,
-/// and the difference (NTP-style) estimates the per-peer clock offset
-/// used to merge span rings onto one timeline.
-pub fn now_ns() -> u64 {
+/// Nanoseconds since the process epoch: the clock of span timestamps and
+/// log records.
+pub(crate) fn now_ns() -> u64 {
     epoch().elapsed().as_nanos() as u64
 }
 

@@ -1,29 +1,24 @@
 //! Structured JSON-lines event log.
 //!
-//! Every record is one JSON object on one line — machine-parseable with
-//! `tq_report::Json`, greppable by humans — written to stderr and kept in
-//! a bounded in-memory tail ring so a running daemon can export its recent
-//! history over the wire (`tq-profd`'s `logs` request) without any file
-//! plumbing. Like the rest of the crate this is dependency-free and
-//! gated: while observability is disabled (or the record's level is
-//! filtered out) a log call is one relaxed atomic load and a branch.
+//! Every record is one JSON object on one line, written to stderr:
+//! machine-parseable with `tq_report::Json`, greppable by humans. Like the
+//! rest of the crate this is dependency-free and gated: while
+//! observability is disabled (or the record's level is filtered out) a log
+//! call is one relaxed atomic load and a branch.
 //!
 //! Severity is filtered by the `TQ_LOG` environment variable: one of
-//! `off`, `error`, `warn`, `info` (the default), `debug` or `trace`,
-//! case-insensitive. [`set_level`]/[`set_level_off`] override it at
-//! runtime (a `logs` admin request could do the same).
+//! `off`, `error`, `warn`, `info` (the default), `debug` or `trace`, in
+//! any casing. [`init_from_env`] rejects every other value, so a binary
+//! that calls it before any work never runs under a filter it was not
+//! asked for. [`set_level`]/[`set_level_off`] override it at runtime.
 
-use std::collections::VecDeque;
+use std::env::VarError;
 use std::fmt::Write as _;
 use std::io::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::OnceLock;
 
 use crate::metrics::{counter, Counter};
-
-/// Tail-ring capacity, in rendered records. Oldest records are
-/// overwritten (and counted in `tq_log_dropped_total`) past this.
-pub const TAIL_CAP: usize = 1024;
 
 /// Severity of a log record. Ordered: `Error` is most severe, `Trace`
 /// least; a filter at level L admits records with `level <= L`.
@@ -31,7 +26,7 @@ pub const TAIL_CAP: usize = 1024;
 pub enum Level {
     /// The operation failed and was not recovered.
     Error = 1,
-    /// Degraded but handled: sheds, suspect peers, slow jobs.
+    /// Degraded but handled: sheds, suspect peers, fired faults.
     Warn = 2,
     /// Normal lifecycle milestones (startup, config, recovery).
     Info = 3,
@@ -54,11 +49,11 @@ impl Level {
     }
 
     /// Parse a level name (case-insensitive). `off` is not a record
-    /// level — see [`set_level_off`] / the `TQ_LOG` grammar.
+    /// level — see [`parse_filter`] for the whole `TQ_LOG` grammar.
     pub fn parse(s: &str) -> Option<Level> {
         match s.to_ascii_lowercase().as_str() {
             "error" => Some(Level::Error),
-            "warn" | "warning" => Some(Level::Warn),
+            "warn" => Some(Level::Warn),
             "info" => Some(Level::Info),
             "debug" => Some(Level::Debug),
             "trace" => Some(Level::Trace),
@@ -130,23 +125,49 @@ const OFF: u8 = 0;
 const UNINIT: u8 = 0xFF;
 
 static LEVEL: AtomicU8 = AtomicU8::new(UNINIT);
-static STDERR: AtomicBool = AtomicBool::new(true);
-static TAIL: Mutex<VecDeque<String>> = Mutex::new(VecDeque::new());
 
 fn current_level() -> u8 {
     match LEVEL.load(Ordering::Relaxed) {
-        UNINIT => init_from_env(),
+        UNINIT => lazy_init(),
         v => v,
     }
 }
 
+/// Parse a `TQ_LOG` value: `Ok(None)` is `off`, `Ok(Some(level))` admits
+/// records at `level` and above. Anything else, the empty string
+/// included, is an error.
+pub fn parse_filter(s: &str) -> Result<Option<Level>, String> {
+    if s.eq_ignore_ascii_case("off") {
+        return Ok(None);
+    }
+    Level::parse(s)
+        .map(Some)
+        .ok_or_else(|| format!("unknown level `{s}` (off|error|warn|info|debug|trace)"))
+}
+
+/// The filter `TQ_LOG` names; unset means `info`.
+fn filter_from(var: Result<String, VarError>) -> Result<u8, String> {
+    match var {
+        Err(VarError::NotPresent) => Ok(Level::Info as u8),
+        Err(e) => Err(e.to_string()),
+        Ok(v) => Ok(parse_filter(&v)?.map_or(OFF, |l| l as u8)),
+    }
+}
+
+/// Set the filter from `TQ_LOG`. An unknown value is an error naming the
+/// variable, and leaves the filter as it was.
+pub fn init_from_env() -> Result<(), String> {
+    let filter = filter_from(std::env::var("TQ_LOG")).map_err(|e| format!("TQ_LOG: {e}"))?;
+    LEVEL.store(filter, Ordering::Relaxed);
+    Ok(())
+}
+
+/// First use in a process that never called [`init_from_env`]: an
+/// unknown value there falls back to `info`, since a record being
+/// emitted cannot fail.
 #[cold]
-fn init_from_env() -> u8 {
-    let filter = match std::env::var("TQ_LOG").as_deref() {
-        Ok(s) if s.eq_ignore_ascii_case("off") => OFF,
-        Ok(s) => Level::parse(s).map_or(Level::Info as u8, |l| l as u8),
-        Err(_) => Level::Info as u8,
-    };
+fn lazy_init() -> u8 {
+    let filter = filter_from(std::env::var("TQ_LOG")).unwrap_or(Level::Info as u8);
     // A concurrent set_level wins: only replace the uninitialised state.
     let _ = LEVEL.compare_exchange(UNINIT, filter, Ordering::Relaxed, Ordering::Relaxed);
     LEVEL.load(Ordering::Relaxed)
@@ -170,37 +191,9 @@ pub fn set_level_off() {
     LEVEL.store(OFF, Ordering::Relaxed);
 }
 
-/// The current filter as its `TQ_LOG` name (`off` when silenced).
-pub fn level_name() -> &'static str {
-    match current_level() {
-        OFF => "off",
-        1 => "error",
-        2 => "warn",
-        3 => "info",
-        4 => "debug",
-        _ => "trace",
-    }
-}
-
-/// Route records to stderr (default true). Tests and embedders that only
-/// want the tail ring turn this off; the ring is always fed.
-pub fn set_stderr(on: bool) {
-    STDERR.store(on, Ordering::Relaxed);
-}
-
 fn records_total() -> &'static Counter {
     static H: OnceLock<Counter> = OnceLock::new();
     H.get_or_init(|| counter("tq_log_records_total", "Structured log records emitted."))
-}
-
-fn dropped_total() -> &'static Counter {
-    static H: OnceLock<Counter> = OnceLock::new();
-    H.get_or_init(|| {
-        counter(
-            "tq_log_dropped_total",
-            "Structured log records overwritten in the bounded tail ring.",
-        )
-    })
 }
 
 /// Render one record as a single JSON line. Key order is fixed
@@ -249,17 +242,7 @@ pub fn emit(level: Level, target: &str, event: &str, fields: &[(&str, Value)]) {
     }
     let line = render(level, target, event, fields);
     records_total().inc();
-    {
-        let mut tail = TAIL.lock().unwrap_or_else(|e| e.into_inner());
-        if tail.len() >= TAIL_CAP {
-            tail.pop_front();
-            dropped_total().inc();
-        }
-        tail.push_back(line.clone());
-    }
-    if STDERR.load(Ordering::Relaxed) {
-        let _ = writeln!(std::io::stderr().lock(), "{line}");
-    }
+    let _ = writeln!(std::io::stderr().lock(), "{line}");
 }
 
 /// [`emit`] at [`Level::Error`].
@@ -283,51 +266,27 @@ pub fn trace(target: &str, event: &str, fields: &[(&str, Value)]) {
     emit(Level::Trace, target, event, fields);
 }
 
-/// Snapshot of the tail ring, oldest first. Non-destructive: the ring
-/// keeps its records so repeated exports see overlapping history.
-pub fn tail() -> Vec<String> {
-    TAIL.lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .iter()
-        .cloned()
-        .collect()
-}
-
-/// Empty the tail ring (tests; an operator "ack" could use it too).
-pub fn clear_tail() {
-    TAIL.lock().unwrap_or_else(|e| e.into_inner()).clear();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::test_lock;
     use tq_report::Json;
 
-    fn quiet() {
-        crate::set_enabled(true);
-        set_stderr(false);
-        clear_tail();
-    }
-
     #[test]
     fn records_render_as_parseable_json_lines() {
-        let _g = test_lock::hold();
-        quiet();
-        set_level(Level::Debug);
-        debug(
+        let line = render(
+            Level::Debug,
             "tq-test",
             "job_done",
             &[
-                ("job_id", "00ab".into()),
+                ("tool", "tquad".into()),
                 ("micros", 123u64.into()),
                 ("cached", true.into()),
                 ("note", "quote\" nl\n".into()),
             ],
         );
-        let tail = tail();
-        assert_eq!(tail.len(), 1);
-        let doc = Json::parse(&tail[0]).expect("record parses");
+        assert!(!line.contains('\n'), "one record, one line");
+        let doc = Json::parse(&line).expect("record parses");
         assert_eq!(doc.get("level").and_then(Json::as_str), Some("debug"));
         assert_eq!(doc.get("target").and_then(Json::as_str), Some("tq-test"));
         assert_eq!(doc.get("event").and_then(Json::as_str), Some("job_done"));
@@ -340,60 +299,35 @@ mod tests {
     #[test]
     fn filter_admits_at_or_above_severity_only() {
         let _g = test_lock::hold();
-        quiet();
+        crate::set_enabled(true);
         set_level(Level::Warn);
         assert!(level_enabled(Level::Error));
         assert!(level_enabled(Level::Warn));
         assert!(!level_enabled(Level::Info));
         assert!(!level_enabled(Level::Debug));
-        info("tq-test", "filtered", &[]);
-        warn("tq-test", "admitted", &[]);
-        let tail = tail();
-        assert_eq!(tail.len(), 1, "{tail:?}");
-        assert!(tail[0].contains("\"admitted\""));
         set_level(Level::Info);
     }
 
     #[test]
     fn off_silences_everything() {
         let _g = test_lock::hold();
-        quiet();
+        crate::set_enabled(true);
         set_level_off();
-        assert_eq!(level_name(), "off");
         assert!(!level_enabled(Level::Error));
-        error("tq-test", "silenced", &[]);
-        assert!(tail().is_empty());
         set_level(Level::Info);
-        assert_eq!(level_name(), "info");
+        assert!(level_enabled(Level::Info));
+        assert!(!level_enabled(Level::Debug));
     }
 
     #[test]
     fn disabled_gate_beats_any_filter() {
         let _g = test_lock::hold();
-        quiet();
         set_level(Level::Trace);
         crate::set_enabled(false);
         assert!(!level_enabled(Level::Error));
-        error("tq-test", "gated", &[]);
         crate::set_enabled(true);
-        assert!(tail().is_empty());
+        assert!(level_enabled(Level::Trace));
         set_level(Level::Info);
-    }
-
-    #[test]
-    fn tail_ring_is_bounded_and_counts_drops() {
-        let _g = test_lock::hold();
-        quiet();
-        set_level(Level::Info);
-        for i in 0..(TAIL_CAP + 16) {
-            info("tq-test", "tick", &[("i", (i as u64).into())]);
-        }
-        let tail = tail();
-        assert_eq!(tail.len(), TAIL_CAP);
-        // The survivors are the newest records.
-        assert!(tail[0].contains("\"i\":16"), "{}", tail[0]);
-        assert!(tail[TAIL_CAP - 1].contains(&format!("\"i\":{}", TAIL_CAP + 15)));
-        clear_tail();
     }
 
     #[test]
@@ -408,24 +342,47 @@ mod tests {
             assert_eq!(Level::parse(level.as_str()), Some(level));
         }
         assert_eq!(Level::parse("WARN"), Some(Level::Warn));
-        assert_eq!(Level::parse("warning"), Some(Level::Warn));
-        assert_eq!(Level::parse("nope"), None);
+        assert_eq!(Level::parse("warning"), None, "one spelling per level");
         assert_eq!(Level::parse("off"), None, "off is a filter, not a level");
     }
 
     #[test]
-    fn non_finite_floats_render_null() {
+    fn unset_tq_log_means_info_and_non_unicode_is_rejected() {
+        assert_eq!(
+            filter_from(Err(VarError::NotPresent)),
+            Ok(Level::Info as u8)
+        );
+        assert_eq!(filter_from(Ok("OFF".into())), Ok(OFF));
+        assert!(filter_from(Ok("dbug".into())).is_err());
+        let not_unicode = VarError::NotUnicode(std::ffi::OsString::from("info"));
+        assert!(filter_from(Err(not_unicode)).is_err());
+    }
+
+    #[test]
+    fn emit_counts_the_records_it_writes() {
         let _g = test_lock::hold();
-        quiet();
+        crate::set_enabled(true);
         set_level(Level::Info);
-        info(
+        let before = records_total().get();
+        emit(Level::Debug, "tq-test", "filtered", &[]);
+        assert_eq!(
+            records_total().get(),
+            before,
+            "a filtered record is not counted"
+        );
+        emit(Level::Info, "tq-test", "written", &[]);
+        assert_eq!(records_total().get(), before + 1);
+    }
+
+    #[test]
+    fn non_finite_floats_render_null() {
+        let line = render(
+            Level::Info,
             "tq-test",
             "f",
             &[("x", f64::NAN.into()), ("y", 1.5f64.into())],
         );
-        let tail = tail();
-        assert!(tail[0].contains("\"x\":null"), "{}", tail[0]);
-        assert!(tail[0].contains("\"y\":1.5"), "{}", tail[0]);
-        clear_tail();
+        assert!(line.contains("\"x\":null"), "{line}");
+        assert!(line.contains("\"y\":1.5"), "{line}");
     }
 }

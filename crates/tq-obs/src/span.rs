@@ -11,7 +11,6 @@
 //! how long the process runs or how many shard workers come and go.
 
 use std::borrow::Cow;
-use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -41,10 +40,6 @@ pub struct SpanEvent {
     pub start_ns: u64,
     /// Duration in nanoseconds.
     pub dur_ns: u64,
-    /// Distributed-trace correlation id (0 = untagged). Spans opened
-    /// inside a [`with_job`] scope inherit the scope's id, so one
-    /// request's hops across fleet peers share a key.
-    pub job_id: u64,
 }
 
 struct ThreadLog {
@@ -64,7 +59,6 @@ static NAMES: Mutex<BTreeMap<u64, String>> = Mutex::new(BTreeMap::new());
 
 thread_local! {
     static LOG: Arc<ThreadLog> = register_thread();
-    static CURRENT_JOB: Cell<u64> = const { Cell::new(0) };
 }
 
 fn register_thread() -> Arc<ThreadLog> {
@@ -143,35 +137,6 @@ pub fn dropped_spans() -> u64 {
     DROPPED.load(Ordering::Relaxed)
 }
 
-/// The calling thread's current job tag (0 when outside any
-/// [`with_job`] scope).
-pub fn current_job() -> u64 {
-    CURRENT_JOB.with(Cell::get)
-}
-
-/// Tags every span the calling thread opens while the guard lives with
-/// `job_id`; restores the previous tag on drop (scopes nest). Tagging is
-/// thread-local state only — it costs nothing while disabled and is safe
-/// to set unconditionally on request-handling paths.
-pub fn with_job(job_id: u64) -> JobGuard {
-    JobGuard {
-        prev: CURRENT_JOB.with(|c| c.replace(job_id)),
-    }
-}
-
-/// RAII scope from [`with_job`]: restores the thread's previous job tag
-/// when dropped.
-#[must_use = "the job tag applies for the guard's lifetime; an unbound guard drops immediately"]
-pub struct JobGuard {
-    prev: u64,
-}
-
-impl Drop for JobGuard {
-    fn drop(&mut self) {
-        CURRENT_JOB.with(|c| c.set(self.prev));
-    }
-}
-
 /// An in-flight span; records its event when dropped. Inert (no clock
 /// reads, no allocation for static names) while observability is disabled.
 #[must_use = "a span measures the scope it is bound to; an unbound guard drops immediately"]
@@ -180,21 +145,15 @@ pub struct SpanGuard {
     name: Option<Cow<'static, str>>,
     cat: &'static str,
     start_ns: u64,
-    job_id: u64,
 }
 
 impl SpanGuard {
     fn new(name: Option<Cow<'static, str>>, cat: &'static str) -> SpanGuard {
-        let (start_ns, job_id) = if name.is_some() {
-            (crate::now_ns(), current_job())
-        } else {
-            (0, 0)
-        };
+        let start_ns = if name.is_some() { crate::now_ns() } else { 0 };
         SpanGuard {
             name,
             cat,
             start_ns,
-            job_id,
         }
     }
 }
@@ -209,7 +168,6 @@ impl Drop for SpanGuard {
                 tid: current_tid(),
                 start_ns: self.start_ns,
                 dur_ns: end.saturating_sub(self.start_ns),
-                job_id: self.job_id,
             });
         }
     }
@@ -248,22 +206,6 @@ pub fn drain_spans() -> Vec<SpanEvent> {
     let threads = lock(&THREADS);
     for t in threads.iter() {
         out.extend(lock(&t.ring).drain(..));
-    }
-    drop(threads);
-    out.sort_by_key(|e| (e.start_ns, e.tid));
-    out
-}
-
-/// Copy every recorded span (live rings and the retirement ring) without
-/// clearing anything, sorted like [`drain_spans`]. This is the form a
-/// live daemon exports over the wire: repeated trace requests see
-/// overlapping history instead of stealing spans from each other (and
-/// from a later `--trace-out` drain).
-pub fn snapshot_spans() -> Vec<SpanEvent> {
-    let mut out: Vec<SpanEvent> = lock(&RETIRED).iter().cloned().collect();
-    let threads = lock(&THREADS);
-    for t in threads.iter() {
-        out.extend(lock(&t.ring).iter().cloned());
     }
     drop(threads);
     out.sort_by_key(|e| (e.start_ns, e.tid));
@@ -350,53 +292,6 @@ mod tests {
         assert!(dropped_spans() >= before + 10);
         // The survivors are the newest spans.
         assert!(evs.iter().all(|e| e.name != "s0"));
-    }
-
-    #[test]
-    fn job_scopes_tag_and_nest_and_restore() {
-        let _g = test_lock::hold();
-        crate::set_enabled(true);
-        drain_spans();
-        assert_eq!(current_job(), 0);
-        {
-            let _outer_scope = with_job(0xAB);
-            let _a = span("a", "test");
-            {
-                let _inner_scope = with_job(0xCD);
-                let _b = span("b", "test");
-            }
-            assert_eq!(current_job(), 0xAB, "inner scope restored on drop");
-            let _c = span("c", "test");
-        }
-        assert_eq!(current_job(), 0);
-        let _d = span("d", "test");
-        drop(_d);
-        let evs = drain_spans();
-        let job_of = |name: &str| evs.iter().find(|e| e.name == name).unwrap().job_id;
-        assert_eq!(job_of("a"), 0xAB);
-        assert_eq!(job_of("b"), 0xCD);
-        assert_eq!(job_of("c"), 0xAB);
-        assert_eq!(job_of("d"), 0, "outside any scope spans stay untagged");
-    }
-
-    #[test]
-    fn snapshot_is_non_destructive() {
-        let _g = test_lock::hold();
-        crate::set_enabled(true);
-        drain_spans();
-        {
-            let _s = span("kept", "test");
-        }
-        let snap1 = snapshot_spans();
-        let snap2 = snapshot_spans();
-        assert_eq!(snap1.len(), 1);
-        assert_eq!(snap1, snap2, "snapshots repeat");
-        let drained = drain_spans();
-        assert_eq!(drained.len(), 1, "drain still sees the span");
-        assert!(
-            snapshot_spans().is_empty(),
-            "drain clears what snapshot saw"
-        );
     }
 
     #[test]

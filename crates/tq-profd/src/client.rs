@@ -14,33 +14,13 @@
 //! around dead or shedding peers.
 
 use crate::apps::{AppId, Scale, Workload};
-use crate::protocol::{
-    hex_decode, job_id_hex, mint_job_id, JobSpec, Request, Response, PEEK_FRAME_BYTES,
-};
+use crate::protocol::{hex_decode, JobSpec, Request, Response, PEEK_FRAME_BYTES};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 use tq_fleet::{Ring, Roster};
 use tq_report::Json;
-
-/// Per-process submission sequence, mixed into client-minted job ids so
-/// two submissions of the same spec from one process still get distinct
-/// distributed-trace ids.
-static SUBMISSION_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// Mint the distributed-trace id for one logical submission. The id is
-/// reused verbatim across every retry and failover hop of that
-/// submission — that reuse is what lets the fleet trace merger correlate
-/// the hops into one track.
-fn mint_submission_id(identity: &str) -> u64 {
-    let seq = SUBMISSION_SEQ.fetch_add(1, Ordering::Relaxed);
-    mint_job_id(
-        identity,
-        seq ^ u64::from(std::process::id()).rotate_left(32),
-    )
-}
 
 /// Backoff shape for resubmission after `busy`/shed responses.
 #[derive(Clone, Debug)]
@@ -87,14 +67,11 @@ impl Default for ClientConfig {
 }
 
 /// What a retried submission actually did: how many attempts ran, which
-/// peers saw one, and the last backpressure hint. `tq submit` prints this
-/// on final failure so an operator sees *where* the job died, not just
-/// that it did.
+/// peers saw one, the last backpressure hint and, on success, where the
+/// job's time went. `tq submit` prints this on final failure so an
+/// operator sees *where* the job died, not just that it did.
 #[derive(Clone, Debug, Default)]
 pub struct RetryTrail {
-    /// The distributed-trace id minted for this submission (0 before the
-    /// first attempt). Every retry and failover hop carries the same id.
-    pub job_id: u64,
     /// Total submit attempts made (including the first).
     pub attempts: u32,
     /// Wall-clock milliseconds each attempt spent (request send to
@@ -107,6 +84,10 @@ pub struct RetryTrail {
     pub last_retry_after_ms: Option<u64>,
     /// The last per-attempt error before success or giving up.
     pub last_error: Option<String>,
+    /// The successful reply's `layers` object, measured by the worker
+    /// that ran the job: `capture` (`memo|memory|disk|recorded|peek`),
+    /// `queue_us`, `capture_us`, `replay_us`, `shards` and `total_us`.
+    pub layers: Option<Json>,
 }
 
 impl RetryTrail {
@@ -129,8 +110,7 @@ impl RetryTrail {
             None => "none".into(),
         };
         format!(
-            "job_id={} attempts={} peers_tried={} last_retry_after_ms={}",
-            job_id_hex(self.job_id),
+            "attempts={} peers_tried={} last_retry_after_ms={}",
             self.attempts,
             if self.peers_tried.is_empty() {
                 "none".into()
@@ -145,7 +125,6 @@ impl RetryTrail {
     /// level after every submission, successful or not.
     pub fn to_json(&self) -> Json {
         let mut obj = Json::obj([
-            ("job_id", Json::from(job_id_hex(self.job_id))),
             ("attempts", Json::from(u64::from(self.attempts))),
             (
                 "attempt_ms",
@@ -174,22 +153,6 @@ impl RetryTrail {
         }
         obj
     }
-}
-
-/// One peer's span ring as exported by its `trace` endpoint, bracketed by
-/// the client-side round-trip timestamps needed to place the peer's
-/// clock: `offset ≈ server_now_ns − (t0_ns + t1_ns) / 2` (NTP's
-/// single-sample estimator; see `crate::telemetry`).
-#[derive(Clone, Debug)]
-pub struct TraceExport {
-    /// Client clock (`tq_obs::now_ns`) just before the request was sent.
-    pub t0_ns: u64,
-    /// Client clock just after the response arrived.
-    pub t1_ns: u64,
-    /// The peer's own `tq_obs::now_ns` when it answered.
-    pub server_now_ns: u64,
-    /// The peer's retired+live spans as a Chrome trace-event JSON document.
-    pub doc: String,
 }
 
 /// A connected client. One request/response at a time; the connection
@@ -282,16 +245,13 @@ impl Client {
     /// shed comes back as a plain `Err` — use [`Client::submit_with_retry`]
     /// to honor the server's backpressure instead.
     pub fn submit(&mut self, spec: JobSpec) -> Result<(Json, bool), String> {
-        let job_id = mint_submission_id(&format!("{spec:?}"));
-        let resp = self.request(&Request::Submit {
-            spec,
-            attempt: 0,
-            job_id,
-        })?;
-        Self::parse_submit(resp)
+        let resp = self.request(&Request::Submit { spec, attempt: 0 })?;
+        Self::parse_submit(resp, &mut RetryTrail::default())
     }
 
-    fn parse_submit(resp: Response) -> Result<(Json, bool), String> {
+    /// The profile and memo flag of a submit reply; its `layers` go to
+    /// `trail`.
+    fn parse_submit(resp: Response, trail: &mut RetryTrail) -> Result<(Json, bool), String> {
         if !resp.is_ok() {
             return Err(resp.error().unwrap_or("unknown server error").to_string());
         }
@@ -305,6 +265,7 @@ impl Client {
             .get("profile")
             .cloned()
             .ok_or("response missing `profile`")?;
+        trail.layers = resp.0.get("layers").cloned();
         Ok((profile, cached))
     }
 
@@ -344,9 +305,6 @@ impl Client {
         retries: u32,
         trail: &mut RetryTrail,
     ) -> Result<(Json, bool), String> {
-        if trail.job_id == 0 {
-            trail.job_id = mint_submission_id(&format!("{spec:?}"));
-        }
         let mut attempt: u32 = 0;
         loop {
             trail.attempts += 1;
@@ -355,7 +313,6 @@ impl Client {
             let result = self.request(&Request::Submit {
                 spec: spec.clone(),
                 attempt: u64::from(attempt),
-                job_id: trail.job_id,
             });
             trail.note_elapsed(started);
             let (hint_ms, redirect, err) = match result {
@@ -372,7 +329,7 @@ impl Client {
                     )
                 }
                 Ok(resp) => {
-                    let parsed = Self::parse_submit(resp);
+                    let parsed = Self::parse_submit(resp, trail);
                     if let Err(e) = &parsed {
                         trail.last_error = Some(e.clone());
                     }
@@ -444,59 +401,6 @@ impl Client {
         self.request(&Request::Shutdown)
     }
 
-    /// Export the peer's span ring as a Chrome trace document, timing the
-    /// round-trip on the local `tq_obs` clock so the caller can estimate
-    /// the peer's clock offset (see [`TraceExport`]).
-    pub fn trace_export(&mut self) -> Result<TraceExport, String> {
-        let t0_ns = tq_obs::now_ns();
-        let resp = self.request(&Request::Trace)?;
-        let t1_ns = tq_obs::now_ns();
-        if !resp.is_ok() {
-            return Err(resp.error().unwrap_or("unknown server error").to_string());
-        }
-        let server_now_ns = resp
-            .0
-            .get("now_ns")
-            .and_then(Json::as_u64)
-            .ok_or("trace response missing `now_ns`")?;
-        let doc = resp
-            .0
-            .get("trace")
-            .and_then(Json::as_str)
-            .map(str::to_string)
-            .ok_or("trace response missing `trace`")?;
-        Ok(TraceExport {
-            t0_ns,
-            t1_ns,
-            server_now_ns,
-            doc,
-        })
-    }
-
-    /// Fetch the peer's recent structured-log tail. Returns the peer's
-    /// active level name and the JSON-lines records, oldest first.
-    pub fn logs_tail(&mut self) -> Result<(String, Vec<String>), String> {
-        let resp = self.request(&Request::Logs)?;
-        if !resp.is_ok() {
-            return Err(resp.error().unwrap_or("unknown server error").to_string());
-        }
-        let level = resp
-            .0
-            .get("level")
-            .and_then(Json::as_str)
-            .unwrap_or("unknown")
-            .to_string();
-        let records = resp
-            .0
-            .get("records")
-            .and_then(Json::as_arr)
-            .ok_or("logs response missing `records`")?
-            .iter()
-            .filter_map(|r| r.as_str().map(str::to_string))
-            .collect();
-        Ok((level, records))
-    }
-
     /// Fetch the encoded capture for `digest` via a `peek`: a header line
     /// declaring `frames`/`total_bytes`, then that many bounded frame
     /// lines ([`PEEK_FRAME_BYTES`] raw bytes each).
@@ -509,24 +413,10 @@ impl Client {
         scale: Scale,
         digest: &str,
     ) -> Result<Option<Vec<u8>>, String> {
-        self.peek_fetch_tagged(app, scale, digest, 0)
-    }
-
-    /// [`Client::peek_fetch`] carrying the distributed-trace `job_id` of
-    /// the submission that triggered the fetch, so the serving peer's
-    /// `peek-serve` span joins the same trace (0 = untagged).
-    pub fn peek_fetch_tagged(
-        &mut self,
-        app: AppId,
-        scale: Scale,
-        digest: &str,
-        job_id: u64,
-    ) -> Result<Option<Vec<u8>>, String> {
         let header = self.request(&Request::Peek {
             app,
             scale,
             digest: digest.to_string(),
-            job_id,
         })?;
         if !header.is_ok() {
             return Err(header.error().unwrap_or("unknown server error").to_string());
@@ -690,9 +580,6 @@ impl FleetClient {
         trail: &mut RetryTrail,
     ) -> Result<(Json, bool, String), String> {
         let digest = self.digest_for(spec.app, spec.scale);
-        if trail.job_id == 0 {
-            trail.job_id = mint_submission_id(&digest);
-        }
         let route: Vec<String> = self
             .ring
             .route(&digest)
@@ -736,7 +623,6 @@ impl FleetClient {
                 let result = client.request(&Request::Submit {
                     spec: spec.clone(),
                     attempt: u64::from(spent),
-                    job_id: trail.job_id,
                 });
                 spent += 1;
                 trail.attempts += 1;
@@ -771,7 +657,7 @@ impl FleetClient {
                             }
                         }
                     }
-                    Ok(resp) => match Client::parse_submit(resp) {
+                    Ok(resp) => match Client::parse_submit(resp, trail) {
                         Ok((json, cached)) => {
                             self.roster.record_success(addr, 0, 0);
                             return Ok((json, cached, addr.clone()));
@@ -833,7 +719,6 @@ impl FleetClient {
         let result = client.request(&Request::Submit {
             spec: spec.clone(),
             attempt: u64::from(attempt),
-            job_id: trail.job_id,
         });
         trail.note_elapsed(started);
         let resp = match result {
@@ -848,6 +733,6 @@ impl FleetClient {
             trail.last_retry_after_ms = resp.retry_after_ms().or(trail.last_retry_after_ms);
             return Err(resp.error().unwrap_or("server busy").to_string());
         }
-        Client::parse_submit(resp)
+        Client::parse_submit(resp, trail)
     }
 }

@@ -203,9 +203,8 @@ impl FleetState {
     /// Fetch the capture for a remotely-owned digest from its owner.
     /// `None` means the owner is dead, unreachable, or answered without
     /// the capture — the caller records locally instead (correctness
-    /// never depends on a peer). `job_id` rides the wire so the owner's
-    /// peek-side spans join the job's distributed trace.
-    pub fn try_peek(&self, app: AppId, scale: Scale, digest: &str, job_id: u64) -> Option<Trace> {
+    /// never depends on a peer).
+    pub fn try_peek(&self, app: AppId, scale: Scale, digest: &str) -> Option<Trace> {
         let owner = self.owner_of(digest).to_string();
         if owner == self.config.self_addr {
             return None;
@@ -214,7 +213,7 @@ impl FleetState {
             self.peek_fetch_failures.fetch_add(1, Ordering::Relaxed);
             return None;
         }
-        let fetched = self.fetch_capture(&owner, app, scale, digest, job_id);
+        let fetched = self.fetch_capture(&owner, app, scale, digest);
         match fetched {
             Some(trace) => {
                 self.peek_fetches.fetch_add(1, Ordering::Relaxed);
@@ -225,25 +224,14 @@ impl FleetState {
                 tq_obs::log::warn(
                     LOG,
                     "peek_fetch_failed",
-                    &[
-                        ("owner", owner.as_str().into()),
-                        ("digest", digest.into()),
-                        ("job_id", crate::protocol::job_id_hex(job_id).into()),
-                    ],
+                    &[("owner", owner.as_str().into()), ("digest", digest.into())],
                 );
                 None
             }
         }
     }
 
-    fn fetch_capture(
-        &self,
-        owner: &str,
-        app: AppId,
-        scale: Scale,
-        digest: &str,
-        job_id: u64,
-    ) -> Option<Trace> {
+    fn fetch_capture(&self, owner: &str, app: AppId, scale: Scale, digest: &str) -> Option<Trace> {
         let cfg = ClientConfig {
             connect_timeout: self.config.probe_timeout,
             read_timeout: Some(self.config.peek_timeout),
@@ -261,9 +249,7 @@ impl FleetState {
         };
         // Bounded frame lines instead of one hex line holding 2× the
         // capture.
-        let bytes = client
-            .peek_fetch_tagged(app, scale, digest, job_id)
-            .ok()??;
+        let bytes = client.peek_fetch(app, scale, digest).ok()??;
         // `Trace::load` validates framing and checksums, so a payload
         // mangled in transit fails here rather than poisoning the cache.
         Trace::load(&mut bytes.as_slice()).ok()
@@ -421,7 +407,7 @@ mod tests {
             .map(|i| format!("{i:032x}"))
             .find(|d| f.is_owner(d))
             .expect("node owns something");
-        assert!(f.try_peek(AppId::Wfs, Scale::Tiny, &mine, 0).is_none());
+        assert!(f.try_peek(AppId::Wfs, Scale::Tiny, &mine).is_none());
     }
 
     #[test]
@@ -432,7 +418,7 @@ mod tests {
             .find(|d| !f.is_owner(d))
             .expect("peer owns something");
         lock_roster(&f.roster).mark_dead("peer:2");
-        assert!(f.try_peek(AppId::Wfs, Scale::Tiny, &theirs, 0).is_none());
+        assert!(f.try_peek(AppId::Wfs, Scale::Tiny, &theirs).is_none());
         assert_eq!(f.peek_fetch_failures.load(Ordering::Relaxed), 1);
         let j = f.to_json();
         assert_eq!(j.get("peek_fetch_failures").and_then(Json::as_u64), Some(1));

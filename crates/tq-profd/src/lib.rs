@@ -28,10 +28,6 @@
 //!   rendering;
 //! * [`stats`] — service observability (cache counters, per-tool latency
 //!   histograms);
-//! * [`telemetry`] — fleet-wide aggregation: NTP-style clock-offset
-//!   estimation, the merged multi-peer Chrome trace behind
-//!   `tq fleet-trace`, and the peer-labelled Prometheus merge behind
-//!   `tq fleet-status`;
 //! * [`server`] / [`client`] — the TCP daemon (bounded job queue, worker
 //!   pool, graceful shutdown, per-job timeout) and the line-oriented
 //!   client used by `tq submit`.
@@ -55,15 +51,13 @@ pub mod fleet;
 pub mod protocol;
 pub mod server;
 pub mod stats;
-pub mod telemetry;
 
 pub use apps::{AppId, Scale, Workload};
 pub use cache::CaptureStore;
-pub use client::{Client, ClientConfig, FleetClient, RetryPolicy, RetryTrail, TraceExport};
+pub use client::{Client, ClientConfig, FleetClient, RetryPolicy, RetryTrail};
 pub use fleet::{FleetConfig, FleetState};
 pub use protocol::{
-    hex_decode, hex_encode, job_id_hex, mint_job_id, parse_job_id, JobSpec, Request, Response,
-    StackPolicy, ToolId, PEEK_FRAME_BYTES,
+    hex_decode, hex_encode, JobSpec, Request, Response, StackPolicy, ToolId, PEEK_FRAME_BYTES,
 };
 pub use server::{Server, ServerConfig};
 pub use stats::ServiceStats;

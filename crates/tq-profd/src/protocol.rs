@@ -217,12 +217,6 @@ pub enum Request {
         /// identity — the server only counts it (`retries_observed`), so
         /// operators can see clients backing off in `stats`.
         attempt: u64,
-        /// Distributed-trace correlation id minted by the client
-        /// ([`mint_job_id`]); 0 when absent (legacy clients), in which
-        /// case the server mints one so its own spans are still tagged.
-        /// One id persists across every retry and peer hop of a logical
-        /// submission — the key the fleet trace merger joins on.
-        job_id: u64,
     },
     /// Where does this job live? Answers with the fleet owner of the
     /// job's content digest (and the digest itself) without running
@@ -230,9 +224,6 @@ pub enum Request {
     Route {
         /// The job whose owner is asked for.
         spec: JobSpec,
-        /// Trace correlation id, so even the routing hop of a traced
-        /// submission shows up under the job's key (0 = untagged).
-        job_id: u64,
     },
     /// Fleet-internal capture transfer: fetch the capture for a content
     /// digest from the node that owns it, so a non-owner can serve a
@@ -251,25 +242,13 @@ pub enum Request {
         /// bounded frame lines (at most [`PEEK_FRAME_BYTES`] raw bytes
         /// each).
         digest: String,
-        /// Trace correlation id of the job this fetch serves (0 =
-        /// untagged), so the owner's peek-side spans join the same
-        /// distributed trace as the non-owner's replay.
-        job_id: u64,
     },
     /// Service statistics snapshot.
     Stats,
     /// Prometheus-style text exposition: this node's `stats` counters
-    /// (`tq_profd_*`, `tq_job_*`, `tq_fleet_*`) plus the process-wide
+    /// (`tq_profd_*`, `tq_fleet_*`) plus the process-wide
     /// tq-obs metrics (counters, gauges, histograms).
     Metrics,
-    /// Export the peer's span rings as a Chrome-trace JSON document
-    /// (non-destructive snapshot), together with the peer's `now_ns`
-    /// clock reading so the requester can estimate the clock offset and
-    /// merge rings from several peers onto one timeline.
-    Trace,
-    /// Export the tail of the peer's structured event log (recent
-    /// JSON-line records) and its current `TQ_LOG` filter.
-    Logs,
     /// Graceful shutdown: drain the queue, stop workers, exit.
     Shutdown,
 }
@@ -281,62 +260,40 @@ impl Request {
             Request::Ping => Json::obj([("type", Json::from("ping"))]).render(),
             Request::Stats => Json::obj([("type", Json::from("stats"))]).render(),
             Request::Metrics => Json::obj([("type", Json::from("metrics"))]).render(),
-            Request::Trace => Json::obj([("type", Json::from("trace"))]).render(),
-            Request::Logs => Json::obj([("type", Json::from("logs"))]).render(),
             Request::Shutdown => Json::obj([("type", Json::from("shutdown"))]).render(),
-            Request::Submit {
-                spec,
-                attempt,
-                job_id,
-            } => {
+            Request::Submit { spec, attempt } => {
                 let mut obj = spec.to_json();
                 if *attempt > 0 {
                     obj.set("attempt", Json::from(*attempt));
                 }
-                set_job_id(&mut obj, *job_id);
                 obj.render()
             }
-            Request::Route { spec, job_id } => {
-                let mut obj = spec.to_json_typed("route");
-                set_job_id(&mut obj, *job_id);
-                obj.render()
-            }
-            Request::Peek {
-                app,
-                scale,
-                digest,
-                job_id,
-            } => {
-                let mut obj = Json::obj([
-                    ("type", Json::from("peek")),
-                    ("app", Json::from(app.as_str())),
-                    ("scale", Json::from(scale.as_str())),
-                    ("digest", Json::from(digest.as_str())),
-                ]);
-                set_job_id(&mut obj, *job_id);
-                obj.render()
-            }
+            Request::Route { spec } => spec.to_json_typed("route").render(),
+            Request::Peek { app, scale, digest } => Json::obj([
+                ("type", Json::from("peek")),
+                ("app", Json::from(app.as_str())),
+                ("scale", Json::from(scale.as_str())),
+                ("digest", Json::from(digest.as_str())),
+            ])
+            .render(),
         }
     }
 
-    /// Decode one line.
+    /// Decode one line. Keys a request type does not read are ignored,
+    /// so a line that still carries the retired `job_id` is served.
     pub fn decode(line: &str) -> Result<Request, String> {
         let v = Json::parse(line.trim()).map_err(|e| e.to_string())?;
         match v.get("type").and_then(Json::as_str) {
             Some("ping") => Ok(Request::Ping),
             Some("stats") => Ok(Request::Stats),
             Some("metrics") => Ok(Request::Metrics),
-            Some("trace") => Ok(Request::Trace),
-            Some("logs") => Ok(Request::Logs),
             Some("shutdown") => Ok(Request::Shutdown),
             Some("submit") => Ok(Request::Submit {
                 spec: JobSpec::from_json(&v)?,
                 attempt: v.get("attempt").and_then(Json::as_u64).unwrap_or(0),
-                job_id: get_job_id(&v),
             }),
             Some("route") => Ok(Request::Route {
                 spec: JobSpec::from_json(&v)?,
-                job_id: get_job_id(&v),
             }),
             Some("peek") => Ok(Request::Peek {
                 app: AppId::parse(v.get("app").and_then(Json::as_str).unwrap_or("wfs"))?,
@@ -346,62 +303,10 @@ impl Request {
                     .and_then(Json::as_str)
                     .ok_or("peek requires `digest`")?
                     .to_string(),
-                job_id: get_job_id(&v),
             }),
             Some(other) => Err(format!("unknown request type `{other}`")),
             None => Err("request missing `type`".into()),
         }
-    }
-}
-
-/// Write a job id into a request object, only when set: absent means
-/// "untagged", so the wire form legacy servers see is unchanged and they
-/// simply never learn the field exists.
-fn set_job_id(obj: &mut Json, job_id: u64) {
-    if job_id != 0 {
-        obj.set("job_id", Json::from(job_id_hex(job_id)));
-    }
-}
-
-/// Read an optional wire job id (0 when absent or malformed — a garbled
-/// id degrades to "untagged" rather than failing the request).
-fn get_job_id(v: &Json) -> u64 {
-    v.get("job_id")
-        .and_then(Json::as_str)
-        .and_then(parse_job_id)
-        .unwrap_or(0)
-}
-
-/// A job id as the wire carries it: 16 lowercase hex characters. Hex
-/// rather than a JSON number because the hand-rolled codec stores numbers
-/// as `f64`, which silently loses precision above 2⁵³ — fatal for a
-/// correlation key that must match exactly across peers.
-pub fn job_id_hex(job_id: u64) -> String {
-    format!("{job_id:016x}")
-}
-
-/// Inverse of [`job_id_hex`]; `None` on anything that is not hex that
-/// fits a `u64`.
-pub fn parse_job_id(s: &str) -> Option<u64> {
-    u64::from_str_radix(s, 16).ok()
-}
-
-/// Mint a distributed-trace job id: a splitmix64-style mix over the
-/// job's content identity (the workload digest when the client knows it,
-/// else the spec's wire encoding) and the retry generation at mint time.
-/// Minted **once** per logical submission — every busy-retry, redirect
-/// and peer hop reuses the same id, which is exactly what makes the
-/// merged fleet trace line up. Never returns 0 (the "untagged" value).
-pub fn mint_job_id(identity: &str, attempt: u64) -> u64 {
-    let mut h = tq_fleet::hash64(identity.as_bytes());
-    h ^= attempt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^= h >> 31;
-    if h == 0 {
-        1
-    } else {
-        h
     }
 }
 
@@ -540,13 +445,10 @@ mod tests {
             Request::Ping,
             Request::Stats,
             Request::Metrics,
-            Request::Trace,
-            Request::Logs,
             Request::Shutdown,
             Request::Submit {
                 spec: JobSpec::new(AppId::Wfs, Scale::Tiny, ToolId::Tquad),
                 attempt: 0,
-                job_id: 0,
             },
             Request::Submit {
                 spec: JobSpec {
@@ -556,7 +458,6 @@ mod tests {
                     ..JobSpec::new(AppId::Img, Scale::Small, ToolId::Quad)
                 },
                 attempt: 3,
-                job_id: 0x00AB_CDEF_0123_4567,
             },
             Request::Submit {
                 spec: JobSpec {
@@ -564,23 +465,19 @@ mod tests {
                     ..JobSpec::new(AppId::Wfs, Scale::Tiny, ToolId::Tquad)
                 },
                 attempt: 0,
-                job_id: 0,
             },
             Request::Route {
                 spec: JobSpec::new(AppId::Img, Scale::Tiny, ToolId::Gprof),
-                job_id: u64::MAX,
             },
             Request::Peek {
                 app: AppId::Wfs,
                 scale: Scale::Tiny,
                 digest: "00112233445566778899aabbccddeeff".into(),
-                job_id: 0,
             },
             Request::Peek {
                 app: AppId::Img,
                 scale: Scale::Small,
                 digest: "ffeeddccbbaa99887766554433221100".into(),
-                job_id: 7,
             },
         ] {
             let line = req.encode();
@@ -592,12 +489,7 @@ mod tests {
     #[test]
     fn submit_defaults_fill_in() {
         let req = Request::decode(r#"{"type":"submit","tool":"gprof"}"#).unwrap();
-        let Request::Submit {
-            spec,
-            attempt,
-            job_id,
-        } = req
-        else {
+        let Request::Submit { spec, attempt } = req else {
             panic!("submit")
         };
         assert_eq!(spec.app, AppId::Wfs);
@@ -605,7 +497,6 @@ mod tests {
         assert_eq!(spec.interval, ToolId::Gprof.default_interval());
         assert_eq!(spec.stack, StackPolicy::Include);
         assert_eq!(attempt, 0, "first submissions default to attempt 0");
-        assert_eq!(job_id, 0, "legacy submissions decode as untagged");
         assert_eq!(spec.instr, "full", "absent instr decodes as full");
     }
 
@@ -616,7 +507,6 @@ mod tests {
         let full = Request::Submit {
             spec: JobSpec::new(AppId::Wfs, Scale::Tiny, ToolId::Tquad),
             attempt: 0,
-            job_id: 0,
         };
         assert!(!full.encode().contains("instr"));
         // Decoding canonicalises the spec (the memo key must not split
@@ -635,50 +525,33 @@ mod tests {
     }
 
     #[test]
-    fn job_id_is_hex_on_the_wire_and_absent_when_untagged() {
-        // Untagged requests encode without the field, so old servers
-        // never see an unknown key.
-        let untagged = Request::Submit {
-            spec: JobSpec::new(AppId::Wfs, Scale::Tiny, ToolId::Tquad),
-            attempt: 0,
-            job_id: 0,
-        };
-        assert!(!untagged.encode().contains("job_id"));
-        // Tagged requests carry 16 lowercase hex chars — a string, not a
-        // JSON number, so ids above 2^53 survive the f64 codec exactly.
-        let tagged = Request::Submit {
-            spec: JobSpec::new(AppId::Wfs, Scale::Tiny, ToolId::Tquad),
-            attempt: 0,
-            job_id: u64::MAX - 1,
-        };
-        let line = tagged.encode();
-        assert!(line.contains("\"job_id\":\"fffffffffffffffe\""), "{line}");
-        assert_eq!(Request::decode(&line).unwrap(), tagged);
-        // A garbled id degrades to untagged instead of failing the job.
-        let garbled = r#"{"type":"submit","tool":"tquad","job_id":"not-hex"}"#;
-        let Request::Submit { job_id, .. } = Request::decode(garbled).unwrap() else {
-            panic!("submit")
-        };
-        assert_eq!(job_id, 0);
-    }
-
-    #[test]
-    fn job_id_hex_round_trips() {
-        for id in [1u64, 0xAB, 2u64.pow(53) + 1, u64::MAX] {
-            assert_eq!(parse_job_id(&job_id_hex(id)), Some(id));
+    fn a_retired_job_id_is_ignored() {
+        let spec = JobSpec::new(AppId::Wfs, Scale::Tiny, ToolId::Tquad);
+        for (line, want) in [
+            (
+                r#"{"type":"submit","tool":"tquad","job_id":"00abcdef01234567"}"#,
+                Request::Submit {
+                    spec: spec.clone(),
+                    attempt: 0,
+                },
+            ),
+            (
+                r#"{"type":"route","tool":"tquad","job_id":"not-hex"}"#,
+                Request::Route { spec },
+            ),
+            (
+                r#"{"type":"peek","digest":"ab","job_id":7}"#,
+                Request::Peek {
+                    app: AppId::Wfs,
+                    scale: Scale::Tiny,
+                    digest: "ab".into(),
+                },
+            ),
+        ] {
+            assert_eq!(Request::decode(line), Ok(want), "{line}");
         }
-        assert_eq!(parse_job_id(""), None);
-        assert_eq!(parse_job_id("xyz"), None);
-        assert_eq!(parse_job_id("10000000000000000"), None, "overflow");
-    }
-
-    #[test]
-    fn minted_job_ids_are_stable_distinct_and_nonzero() {
-        let a = mint_job_id("digest-a", 0);
-        assert_eq!(a, mint_job_id("digest-a", 0), "deterministic");
-        assert_ne!(a, 0, "0 is reserved for untagged");
-        assert_ne!(a, mint_job_id("digest-b", 0), "identity matters");
-        assert_ne!(a, mint_job_id("digest-a", 1), "attempt matters");
+        assert!(Request::decode(r#"{"type":"trace"}"#).is_err());
+        assert!(Request::decode(r#"{"type":"logs"}"#).is_err());
     }
 
     #[test]

@@ -34,9 +34,7 @@ use crate::apps::{AppId, Scale, Workload};
 use crate::cache::{CaptureSource, CaptureStore};
 use crate::exec::{record_capture, run_tool};
 use crate::fleet::{FleetConfig, FleetState};
-use crate::protocol::{
-    hex_encode, job_id_hex, mint_job_id, JobSpec, Request, Response, PEEK_FRAME_BYTES,
-};
+use crate::protocol::{hex_encode, JobSpec, Request, Response, PEEK_FRAME_BYTES};
 use crate::stats::ServiceStats;
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -88,11 +86,6 @@ pub struct ServerConfig {
     pub advertise: Option<String>,
     /// Pause between fleet health-probe rounds.
     pub probe_interval: Duration,
-    /// Slow-job threshold in milliseconds: a job whose end-to-end latency
-    /// reaches it gets a structured `slow_job` warn record with its phase
-    /// breakdown (capture vs replay) and counts in `tq_job_slow_total`.
-    /// 0 disables the log.
-    pub slow_job_ms: u64,
 }
 
 impl Default for ServerConfig {
@@ -112,7 +105,6 @@ impl Default for ServerConfig {
             peers: Vec::new(),
             advertise: None,
             probe_interval: Duration::from_millis(500),
-            slow_job_ms: 30_000,
         }
     }
 }
@@ -124,14 +116,14 @@ const LOG: &str = "tq-profd";
 /// client streaming an unbounded "line" must not grow server memory).
 const MAX_REQUEST_LINE: u64 = 64 * 1024;
 
-/// One queued job: the spec plus where to send the answer. The reply is
-/// the rendered-deterministic profile and whether it was a memo hit.
+/// One queued job: the spec plus where to send the answer, the submit's
+/// whole reply (see [`submit_reply`]).
 struct Job {
     spec: JobSpec,
-    /// Distributed-trace correlation id (never 0 once enqueued: the
-    /// server mints one for legacy clients that sent none).
-    job_id: u64,
-    reply: mpsc::Sender<Result<(Json, bool), String>>,
+    /// When the connection thread queued the job: the reply's `queue_us`
+    /// and `total_us` count from here.
+    enqueued: Instant,
+    reply: mpsc::Sender<Result<Response, String>>,
 }
 
 #[derive(Default)]
@@ -288,11 +280,8 @@ impl Shared {
         (d, Some(w))
     }
 
-    /// Execute one job through the three answer tiers. Every span opened
-    /// on this thread (and the log records below) carries `job_id`, so
-    /// the job's work joins its distributed trace.
-    fn execute(&self, spec: &JobSpec, job_id: u64) -> Result<(Json, bool), String> {
-        let _job = tq_obs::with_job(job_id);
+    /// Execute one job through the three answer tiers.
+    fn execute(&self, spec: &JobSpec, enqueued: Instant) -> Result<Response, String> {
         let _span = tq_obs::span_named(format!("job-{}", spec.tool.as_str()), "profd");
         // Fault rehearsal: a worker may be told to die here; worker_loop
         // contains the unwind and answers with an error.
@@ -310,13 +299,13 @@ impl Shared {
                 LOG,
                 "job_done",
                 &[
-                    ("job_id", job_id_hex(job_id).into()),
                     ("tool", spec.tool.as_str().into()),
                     ("source", "memo".into()),
                     ("micros", micros.into()),
                 ],
             );
-            return Ok((json, true));
+            let zero = Duration::ZERO;
+            return Ok(submit_reply(json, "memo", enqueued, t0, zero, zero, 0));
         }
 
         let (digest, mut prebuilt) = self.digest_for(spec.app, spec.scale);
@@ -336,7 +325,7 @@ impl Shared {
             // recording; routing is an optimisation, never a dependency.
             if let Some(f) = &self.fleet {
                 if !f.is_owner(&digest) {
-                    if let Some(t) = f.try_peek(spec.app, spec.scale, &digest, job_id) {
+                    if let Some(t) = f.try_peek(spec.app, spec.scale, &digest) {
                         peeked = true;
                         return Ok(t);
                     }
@@ -347,7 +336,7 @@ impl Shared {
                 .unwrap_or_else(|| Workload::build(spec.app, spec.scale));
             record_capture(&w, fuel)
         })?;
-        let capture_micros = capture_t0.elapsed().as_micros() as u64;
+        let capture_time = capture_t0.elapsed();
         // A peeked capture entered the cache without a VM run; the fleet
         // counters (`peek_fetches`) account for it instead.
         if !peeked {
@@ -359,9 +348,17 @@ impl Shared {
         // one shard per worker. `busy` includes this worker, hence `+ 1`.
         let busy = self.busy.load(Ordering::SeqCst).max(1);
         let n_jobs = self.config.workers.max(1).saturating_sub(busy) + 1;
+        // The threads the replay will really use: reduced-mode replays run
+        // through the sequential gate emulator whatever `n_jobs` says, and
+        // a sharded replay takes at most one shard per chunk.
+        let shards = if spec.instr != "full" {
+            1
+        } else {
+            n_jobs.clamp(1, trace.chunks.len().max(1))
+        };
         let replay_t0 = Instant::now();
         let json = run_tool(spec, &trace, n_jobs)?;
-        let replay_micros = replay_t0.elapsed().as_micros() as u64;
+        let replay_time = replay_t0.elapsed();
         lock(&self.results).insert(spec.clone(), Arc::new(json.clone()));
         let micros = t0.elapsed().as_micros() as u64;
         let mut st = lock(&self.stats);
@@ -369,11 +366,8 @@ impl Shared {
         st.bytes_replayed += trace.events.len() as u64;
         st.events_replayed += trace.n_events;
         if spec.instr != "full" {
-            // Reduced-mode replays run through the sequential gate
-            // emulator whatever `n_jobs` says, so they are counted here
-            // and never as sharded.
             st.reduced_jobs += 1;
-        } else if n_jobs > 1 {
+        } else if shards > 1 {
             st.sharded_replays += 1;
         }
         st.record_latency(spec.tool, micros);
@@ -383,16 +377,11 @@ impl Shared {
             CaptureSource::Disk => "disk",
             CaptureSource::Recorded => "recorded",
         };
-        let slow = self.config.slow_job_ms > 0 && micros >= self.config.slow_job_ms * 1_000;
-        if slow {
-            st.slow_jobs += 1;
-        }
         drop(st);
         tq_obs::log::debug(
             LOG,
             "job_done",
             &[
-                ("job_id", job_id_hex(job_id).into()),
                 ("tool", spec.tool.as_str().into()),
                 ("app", spec.app.as_str().into()),
                 ("scale", spec.scale.as_str().into()),
@@ -400,28 +389,15 @@ impl Shared {
                 ("micros", micros.into()),
             ],
         );
-        if slow {
-            // The slow-job record: the span breakdown an operator needs
-            // to tell "cold capture" from "big replay" without fetching
-            // the whole trace.
-            tq_obs::log::warn(
-                LOG,
-                "slow_job",
-                &[
-                    ("job_id", job_id_hex(job_id).into()),
-                    ("tool", spec.tool.as_str().into()),
-                    ("app", spec.app.as_str().into()),
-                    ("scale", spec.scale.as_str().into()),
-                    ("source", source_str.into()),
-                    ("threshold_ms", self.config.slow_job_ms.into()),
-                    ("total_micros", micros.into()),
-                    ("capture_micros", capture_micros.into()),
-                    ("replay_micros", replay_micros.into()),
-                    ("shards", n_jobs.into()),
-                ],
-            );
-        }
-        Ok((json, false))
+        Ok(submit_reply(
+            json,
+            source_str,
+            enqueued,
+            t0,
+            capture_time,
+            replay_time,
+            shards,
+        ))
     }
 
     /// The encoded capture bytes a `peek` for `digest` should serve, or
@@ -505,9 +481,7 @@ impl Shared {
         app: AppId,
         scale: Scale,
         digest: String,
-        job_id: u64,
     ) -> std::io::Result<()> {
-        let _job = tq_obs::with_job(job_id);
         let _span = tq_obs::span("peek-serve", "profd");
         let (header, bytes) = match self.peek_capture_bytes(app, scale, &digest) {
             Err(resp) => (resp, None),
@@ -624,6 +598,38 @@ impl Shared {
     }
 }
 
+/// A submit's successful reply: the profile, whether the result memo
+/// answered it, and its `layers`, where the job's time went on the worker
+/// that ran it. `capture` is where the capture came from (`memo` when the
+/// memo answered and nothing was replayed); `queue_us` runs from enqueue
+/// to `started`, and `total_us` from enqueue to now.
+fn submit_reply(
+    profile: Json,
+    capture: &str,
+    enqueued: Instant,
+    started: Instant,
+    capture_time: Duration,
+    replay_time: Duration,
+    shards: usize,
+) -> Response {
+    let us = |d: Duration| Json::from(d.as_micros() as u64);
+    Response::ok([
+        ("cached", Json::from(capture == "memo")),
+        ("profile", profile),
+        (
+            "layers",
+            Json::obj([
+                ("capture", Json::from(capture)),
+                ("queue_us", us(started - enqueued)),
+                ("capture_us", us(capture_time)),
+                ("replay_us", us(replay_time)),
+                ("shards", Json::from(shards as u64)),
+                ("total_us", us(enqueued.elapsed())),
+            ]),
+        ),
+    ])
+}
+
 fn worker_loop(shared: &Shared) {
     while let Some(job) = shared.pop() {
         shared.busy.fetch_add(1, Ordering::SeqCst);
@@ -632,7 +638,7 @@ fn worker_loop(shared: &Shared) {
         // the unwind and answer with an error. Shared state stays sound —
         // every lock in this crate recovers from poisoning.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            shared.execute(&job.spec, job.job_id)
+            shared.execute(&job.spec, job.enqueued)
         }))
         .unwrap_or_else(|p| {
             Err(format!(
@@ -647,7 +653,6 @@ fn worker_loop(shared: &Shared) {
                 LOG,
                 "job_failed",
                 &[
-                    ("job_id", job_id_hex(job.job_id).into()),
                     ("tool", job.spec.tool.as_str().into()),
                     ("error", e.as_str().into()),
                 ],
@@ -682,8 +687,7 @@ fn handle_request(shared: &Arc<Shared>, addr: SocketAddr, req: Request) -> (Resp
         // Never reaches here: connection_loop streams every peek's frames
         // straight onto the socket.
         Request::Peek { .. } => (Response::err("peek is answered by the connection"), false),
-        Request::Route { spec, job_id } => {
-            let _job = tq_obs::with_job(job_id);
+        Request::Route { spec } => {
             let _span = tq_obs::span("route", "profd");
             let (digest, _) = shared.digest_for(spec.app, spec.scale);
             let (owner, self_name) = match &shared.fleet {
@@ -700,27 +704,6 @@ fn handle_request(shared: &Arc<Shared>, addr: SocketAddr, req: Request) -> (Resp
                 false,
             )
         }
-        Request::Trace => (
-            // Non-destructive span export plus this process's clock so the
-            // requester can estimate the offset (`now_ns` is the server's
-            // time at answer-build, the NTP-style midpoint of the
-            // requester's round-trip).
-            Response::ok([
-                ("now_ns", Json::from(tq_obs::now_ns())),
-                ("trace", Json::from(tq_obs::snapshot_chrome_trace())),
-            ]),
-            false,
-        ),
-        Request::Logs => {
-            let records: Vec<Json> = tq_obs::log::tail().into_iter().map(Json::from).collect();
-            (
-                Response::ok([
-                    ("level", Json::from(tq_obs::log::level_name())),
-                    ("records", Json::from(records)),
-                ]),
-                false,
-            )
-        }
         Request::Metrics => (
             Response::ok([("metrics", Json::from(shared.metrics_text()))]),
             false,
@@ -732,30 +715,10 @@ fn handle_request(shared: &Arc<Shared>, addr: SocketAddr, req: Request) -> (Resp
             let _ = TcpStream::connect(addr);
             (Response::ok([("stopping", Json::from(true))]), true)
         }
-        Request::Submit {
-            spec,
-            attempt,
-            job_id,
-        } => {
-            // Every job is traced under a nonzero id: a tagged submit
-            // keeps the client's (so its spans correlate fleet-wide), a
-            // legacy one gets a server-minted id so local spans still
-            // group.
-            let tagged = job_id != 0;
-            let job_id = if tagged {
-                job_id
-            } else {
-                mint_job_id(&format!("{spec:?}"), attempt)
-            };
-            let _job = tq_obs::with_job(job_id);
+        Request::Submit { spec, attempt } => {
             {
                 let mut st = lock(&shared.stats);
                 st.jobs_submitted += 1;
-                if tagged {
-                    st.jobs_tagged += 1;
-                } else {
-                    st.jobs_minted += 1;
-                }
                 if attempt > 0 {
                     st.retries_observed += 1;
                 }
@@ -765,7 +728,7 @@ fn handle_request(shared: &Arc<Shared>, addr: SocketAddr, req: Request) -> (Resp
                 let _span = tq_obs::span("enqueue", "profd");
                 shared.try_push(Job {
                     spec,
-                    job_id,
+                    enqueued: Instant::now(),
                     reply: tx,
                 })
             };
@@ -784,7 +747,6 @@ fn handle_request(shared: &Arc<Shared>, addr: SocketAddr, req: Request) -> (Resp
                         LOG,
                         "overload_shed",
                         &[
-                            ("job_id", job_id_hex(job_id).into()),
                             ("retry_after_ms", retry_after_ms.into()),
                             ("redirect_to", resp.redirect_to().unwrap_or_default().into()),
                         ],
@@ -793,19 +755,12 @@ fn handle_request(shared: &Arc<Shared>, addr: SocketAddr, req: Request) -> (Resp
                 }
                 Err(PushError::Closed) => {
                     lock(&shared.stats).jobs_failed += 1;
-                    tq_obs::log::warn(
-                        LOG,
-                        "shutdown_shed",
-                        &[("job_id", job_id_hex(job_id).into())],
-                    );
+                    tq_obs::log::warn(LOG, "shutdown_shed", &[]);
                     return (Response::err("server is shutting down"), false);
                 }
             }
             match rx.recv_timeout(shared.config.job_timeout) {
-                Ok(Ok((profile, cached))) => (
-                    Response::ok([("cached", Json::from(cached)), ("profile", profile)]),
-                    false,
-                ),
+                Ok(Ok(reply)) => (reply, false),
                 Ok(Err(e)) => (Response::err(e), false),
                 Err(_) => (
                     Response::err(format!(
@@ -885,16 +840,8 @@ fn connection_loop(shared: Arc<Shared>, addr: SocketAddr, stream: TcpStream) {
         let (response, stop) = match request {
             // Peeks write a multi-line response (header + frames) straight
             // onto the socket instead of the one-line path below.
-            Ok(Request::Peek {
-                app,
-                scale,
-                digest,
-                job_id,
-            }) => {
-                if shared
-                    .stream_peek(&mut writer, app, scale, digest, job_id)
-                    .is_err()
-                {
+            Ok(Request::Peek { app, scale, digest }) => {
+                if shared.stream_peek(&mut writer, app, scale, digest).is_err() {
                     return;
                 }
                 continue;

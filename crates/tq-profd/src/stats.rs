@@ -2,7 +2,7 @@
 //!
 //! The stats live behind the server's mutex and are the node's only count
 //! of its jobs: a `stats` request snapshots them into JSON, a `metrics`
-//! request renders the same numbers as `tq_profd_*`/`tq_job_*` families.
+//! request renders the same numbers as `tq_profd_*` families.
 //! Latencies go into log₂ buckets of microseconds — cheap to record under
 //! a lock, and enough resolution to tell a cache hit (tens of µs) from a
 //! replay (ms) from a capture run (often seconds).
@@ -73,10 +73,6 @@ impl LatencyHisto {
 pub struct ServiceStats {
     /// Jobs received (valid submits).
     pub jobs_submitted: u64,
-    /// Submits that carried a client-minted distributed-trace `job_id`.
-    pub jobs_tagged: u64,
-    /// Submits that carried none, so the server minted their `job_id`.
-    pub jobs_minted: u64,
     /// Jobs that produced a profile.
     pub jobs_completed: u64,
     /// Jobs that errored.
@@ -103,9 +99,6 @@ pub struct ServiceStats {
     /// Submits that arrived flagged as client retries (`attempt > 0`) —
     /// nonzero means clients are seeing `busy` and backing off.
     pub retries_observed: u64,
-    /// Jobs whose end-to-end latency reached the configured slow-job
-    /// threshold (each also emitted a structured `slow_job` record).
-    pub slow_jobs: u64,
     /// Jobs served under a reduced instrumentation mode (`instr` other
     /// than `full`): replayed sequentially through the gate emulator
     /// over the shared full capture.
@@ -176,8 +169,6 @@ impl ServiceStats {
                 Json::from(uptime_micros as f64 / 1_000_000.0),
             ),
             ("jobs_submitted", Json::from(self.jobs_submitted)),
-            ("jobs_tagged", Json::from(self.jobs_tagged)),
-            ("jobs_minted", Json::from(self.jobs_minted)),
             ("jobs_completed", Json::from(self.jobs_completed)),
             ("jobs_failed", Json::from(self.jobs_failed)),
             ("result_hits", Json::from(self.result_hits)),
@@ -192,13 +183,12 @@ impl ServiceStats {
             ("sheds", Json::from(self.sheds)),
             ("rejects", Json::from(self.rejects)),
             ("retries_observed", Json::from(self.retries_observed)),
-            ("slow_jobs", Json::from(self.slow_jobs)),
             ("reduced_jobs", Json::from(self.reduced_jobs)),
             ("latency", tools),
         ])
     }
 
-    /// The `tq_profd_*` and `tq_job_*` families of the `metrics`
+    /// The `tq_profd_*` families of the `metrics`
     /// exposition, rendered from these counters (the queue, uptime and
     /// fault gauges are the server's).
     pub fn families(&self) -> Vec<Family> {
@@ -247,21 +237,6 @@ impl ServiceStats {
                 "tq_profd_retries_observed_total",
                 "Submits that arrived flagged as client retries (attempt > 0)",
                 self.retries_observed,
-            ),
-            (
-                "tq_job_tagged_total",
-                "Submits that arrived carrying a client-minted distributed-trace job_id",
-                self.jobs_tagged,
-            ),
-            (
-                "tq_job_minted_total",
-                "job_ids minted server-side for legacy submits that carried none",
-                self.jobs_minted,
-            ),
-            (
-                "tq_job_slow_total",
-                "Jobs over the slow-job latency threshold (each also logs a slow_job record)",
-                self.slow_jobs,
             ),
         ];
         let mut buckets = [0; HISTO_BUCKETS];

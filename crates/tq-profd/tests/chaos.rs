@@ -134,7 +134,6 @@ fn queue_full_yields_busy_and_retry_succeeds() {
         .request(&tq_profd::Request::Submit {
             spec: spec_n(3),
             attempt: 0,
-            job_id: 0,
         })
         .expect("probe transmits");
     assert!(resp.is_busy(), "queue-full probe must be shed: {resp:?}");

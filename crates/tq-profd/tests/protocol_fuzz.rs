@@ -10,7 +10,8 @@ use tq_profd::{AppId, JobSpec, Request, Response, Scale, StackPolicy, ToolId};
 use tq_report::Json;
 use tq_tquad::LibPolicy;
 
-/// Every request variant, in the wire form `Request::encode` writes.
+/// Every request variant, in the wire form `Request::encode` writes, and
+/// a submit that still carries the retired `job_id`.
 fn request_corpus() -> Vec<String> {
     let reduced = JobSpec {
         interval: 123,
@@ -23,36 +24,28 @@ fn request_corpus() -> Vec<String> {
         Request::Ping,
         Request::Stats,
         Request::Metrics,
-        Request::Trace,
-        Request::Logs,
         Request::Shutdown,
         Request::Submit {
             spec: JobSpec::new(AppId::Wfs, Scale::Tiny, ToolId::Tquad),
             attempt: 0,
-            job_id: 0,
         },
         Request::Submit {
             spec: reduced.clone(),
             attempt: 3,
-            job_id: 0x00AB_CDEF_0123_4567,
         },
         Request::Route {
             spec: JobSpec::new(AppId::Img, Scale::Tiny, ToolId::Gprof),
-            job_id: u64::MAX,
         },
-        Request::Route {
-            spec: reduced,
-            job_id: 0,
-        },
+        Request::Route { spec: reduced },
         Request::Peek {
             app: AppId::Wfs,
             scale: Scale::Paper,
             digest: "00112233445566778899aabbccddeeff".into(),
-            job_id: 7,
         },
     ]
     .iter()
     .map(Request::encode)
+    .chain([r#"{"type":"submit","tool":"gprof","job_id":"00abcdef01234567"}"#.into()])
     .collect()
 }
 
@@ -84,6 +77,17 @@ fn response_corpus() -> Vec<String> {
                         "rows",
                         Json::from(vec![Json::Null, Json::from("a\u{1F600}\"\\\n")]),
                     ),
+                ]),
+            ),
+            (
+                "layers",
+                Json::obj([
+                    ("capture", Json::from("peek")),
+                    ("queue_us", Json::from(41u64)),
+                    ("capture_us", Json::from(1_250u64)),
+                    ("replay_us", Json::from(8_000u64)),
+                    ("shards", Json::from(2u64)),
+                    ("total_us", Json::from(9_400u64)),
                 ]),
             ),
         ]),

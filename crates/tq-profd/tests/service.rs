@@ -5,7 +5,8 @@
 use std::path::PathBuf;
 use tq_profd::exec::{record_capture, run_tool};
 use tq_profd::{
-    AppId, Client, JobSpec, Request, Scale, Server, ServerConfig, StackPolicy, ToolId, Workload,
+    AppId, Client, JobSpec, Request, RetryTrail, Scale, Server, ServerConfig, StackPolicy, ToolId,
+    Workload,
 };
 use tq_report::Json;
 
@@ -46,18 +47,13 @@ fn warm_submit_is_byte_identical_cache_hit() {
         .request(&Request::Submit {
             spec: spec.clone(),
             attempt: 0,
-            job_id: 0,
         })
         .expect("cold submit");
     assert!(cold.is_ok(), "{:?}", cold.error());
     assert_eq!(cold.0.get("cached").and_then(Json::as_bool), Some(false));
 
     let warm = client
-        .request(&Request::Submit {
-            spec,
-            attempt: 0,
-            job_id: 0,
-        })
+        .request(&Request::Submit { spec, attempt: 0 })
         .expect("warm submit");
     assert!(warm.is_ok());
     assert_eq!(warm.0.get("cached").and_then(Json::as_bool), Some(true));
@@ -87,21 +83,50 @@ fn warm_submit_is_byte_identical_cache_hit() {
 }
 
 /// Different tool variants against one workload share a single capture:
-/// vm_runs stays at 1 while every tool answers.
+/// vm_runs stays at 1 while every tool answers, and each reply's layers
+/// say where its capture came from.
 #[test]
 fn one_capture_serves_every_tool() {
     let (server, addr) = start(None);
     let mut client = Client::connect(&addr).expect("connect");
 
-    for tool in [ToolId::Tquad, ToolId::Quad, ToolId::Gprof, ToolId::Phases] {
+    for (i, tool) in [ToolId::Tquad, ToolId::Quad, ToolId::Gprof, ToolId::Phases]
+        .into_iter()
+        .enumerate()
+    {
+        let mut trail = RetryTrail::default();
         let (profile, _) = client
-            .submit(JobSpec::new(AppId::Wfs, Scale::Tiny, tool))
+            .submit_with_retry_trail(JobSpec::new(AppId::Wfs, Scale::Tiny, tool), 0, &mut trail)
             .expect("submit");
         assert!(!profile.render().is_empty(), "{tool:?} produced a profile");
+        let layer = |k| trail.layers.as_ref().and_then(|l| l.get(k)).cloned();
+        let want = if i == 0 { "recorded" } else { "memory" };
+        let capture = layer("capture");
+        assert_eq!(
+            capture.as_ref().and_then(Json::as_str),
+            Some(want),
+            "{tool:?}"
+        );
+        let shards = layer("shards").and_then(|j| j.as_u64());
+        assert!(matches!(shards, Some(1..=2)), "{tool:?}: shards {shards:?}");
     }
+    // A reduced-instrumentation replay runs through the sequential gate
+    // emulator, so it reports one shard however many workers are idle.
+    let mut trail = RetryTrail::default();
+    let spec = JobSpec {
+        instr: "sample:8".into(),
+        ..JobSpec::new(AppId::Wfs, Scale::Tiny, ToolId::Tquad)
+    };
+    client
+        .submit_with_retry_trail(spec, 0, &mut trail)
+        .expect("reduced submit");
+    let layers = trail.layers.as_ref().expect("layers");
+    assert_eq!(layers.get("capture").and_then(Json::as_str), Some("memory"));
+    assert_eq!(layers.get("shards").and_then(Json::as_u64), Some(1));
     let stats = client.stats().expect("stats");
     assert_eq!(stat(&stats, "vm_runs"), 1);
-    assert_eq!(stat(&stats, "capture_mem_hits"), 3);
+    assert_eq!(stat(&stats, "capture_mem_hits"), 4);
+    assert_eq!(stat(&stats, "reduced_jobs"), 1);
 
     client.shutdown().expect("shutdown");
     server.join().expect("clean join");

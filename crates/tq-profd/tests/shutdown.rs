@@ -45,12 +45,7 @@ fn join_returns_only_after_the_running_jobs_reply_is_written() {
     let mut spec = JobSpec::new(AppId::Wfs, Scale::Tiny, ToolId::Tquad);
     spec.interval = 1;
     let mut submitter = TcpStream::connect(&addr).expect("connect submitter");
-    let mut line = Request::Submit {
-        spec,
-        attempt: 0,
-        job_id: 0,
-    }
-    .encode();
+    let mut line = Request::Submit { spec, attempt: 0 }.encode();
     line.push('\n');
     submitter.write_all(line.as_bytes()).expect("send submit");
 

@@ -227,10 +227,20 @@ case "$owner" in
 esac
 
 # Submit to the NON-owner: it must serve the job by peeking the owner's
-# cache (which records on demand), never by recording locally.
+# cache (which records on demand), never by recording locally, and its
+# submit_done record must say so in the job's layers.
 ./target/release/tq submit --addr "$non_owner" --app wfs --scale tiny \
-    > "$smoke_dir/fleet.profile" 2> /dev/null \
+    > "$smoke_dir/fleet.profile" 2> "$smoke_dir/fleet.submit.err" \
     || { echo "verify: FAIL (fleet submit to non-owner)"; exit 1; }
+grep '"event":"submit_done"' "$smoke_dir/fleet.submit.err" | grep -q '"capture":"peek"' \
+    || { echo "verify: FAIL (non-owner submit_done lacks \"capture\":\"peek\")"; exit 1; }
+# TQ_LOG is strict: an unknown level is an error before any work.
+if TQ_LOG=dbug ./target/release/tq submit --addr "$non_owner" --ping \
+    > /dev/null 2> "$smoke_dir/tq_log.err"; then
+    echo "verify: FAIL (an unknown TQ_LOG must be rejected)"; exit 1
+fi
+grep -q "TQ_LOG" "$smoke_dir/tq_log.err" \
+    || { echo "verify: FAIL (TQ_LOG error does not name the variable)"; exit 1; }
 owner_stats=$(./target/release/tq submit --addr "$owner" --stats 2> /dev/null)
 non_owner_stats=$(./target/release/tq submit --addr "$non_owner" --stats 2> /dev/null)
 printf '%s' "$owner_stats" | grep -q '"cache_misses":1' \
@@ -244,32 +254,6 @@ printf '%s' "$non_owner_stats" | grep -q '"peek_fetches":1' \
 printf '%s' "$non_owner_stats" | grep -q '"role":"fleet"' \
     || { echo "verify: FAIL (fleet member reports wrong role)"; exit 1; }
 
-echo "==> fleet telemetry smoke: merged trace correlates hops, merged metrics carry peer labels"
-# The routed submit above tagged spans on BOTH peers (submit + job on the
-# non-owner, peek-serve on the owner) with one client-minted job_id. The
-# merged trace must show that id under two distinct pid tracks, with each
-# peer's clock offset estimated from the scrape round-trip.
-./target/release/tq fleet-trace --peers "$fleet_a,$fleet_b" \
-    --out "$smoke_dir/fleet.trace.json" > /dev/null 2> /dev/null \
-    || { echo "verify: FAIL (fleet-trace scrape)"; exit 1; }
-./target/release/check_fleet_trace "$smoke_dir/fleet.trace.json" 2 \
-    || { echo "verify: FAIL (merged trace lacks a cross-peer job_id)"; exit 1; }
-./target/release/tq fleet-status --peers "$fleet_a,$fleet_b" \
-    > "$smoke_dir/fleet_status.txt" 2> /dev/null \
-    || { echo "verify: FAIL (fleet-status)"; exit 1; }
-grep -q "$fleet_a" "$smoke_dir/fleet_status.txt" \
-    && grep -q "$fleet_b" "$smoke_dir/fleet_status.txt" \
-    || { echo "verify: FAIL (fleet-status table missing a peer row)"; exit 1; }
-./target/release/tq fleet-status --peers "$fleet_a,$fleet_b" --metrics \
-    > "$smoke_dir/fleet_metrics.txt" 2> /dev/null \
-    || { echo "verify: FAIL (fleet-status --metrics)"; exit 1; }
-# Every peer's startup log record registers tq_log_records_total, so both
-# peer labels must appear; the routed submit tagged a job on one of them.
-grep -q "tq_log_records_total{peer=\"$fleet_a\"}" "$smoke_dir/fleet_metrics.txt" \
-    && grep -q "tq_log_records_total{peer=\"$fleet_b\"}" "$smoke_dir/fleet_metrics.txt" \
-    || { echo "verify: FAIL (merged exposition lacks per-peer log counters)"; exit 1; }
-grep -q 'tq_job_tagged_total{peer="' "$smoke_dir/fleet_metrics.txt" \
-    || { echo "verify: FAIL (no peer counted a client-tagged job)"; exit 1; }
 ./target/release/tq submit --addr "$fleet_a" --shutdown > /dev/null 2>&1 || true
 ./target/release/tq submit --addr "$fleet_b" --shutdown > /dev/null 2>&1 || true
 wait "$fleet_a_pid" \
