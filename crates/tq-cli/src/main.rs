@@ -24,13 +24,13 @@
 //! tq serve   [--addr HOST:PORT] [--workers N] [--state-dir PATH]
 //!            [--cache-mb N] [--queue N] [--timeout-ms N] [--capture-fuel N]
 //!            [--max-conns N] [--read-timeout-ms N]
-//!            [--peers A,B,C] [--advertise HOST:PORT] [--probe-interval-ms N]
+//!            [--peers A,B,C] [--advertise HOST:PORT]
 //!
 //! every VM-running subcommand: [--instr full|filter:…|sample:…]
 //! tq submit  [--addr HOST:PORT] [--tool tquad|quad|gprof|phases]
 //!            [--app …] [--scale …] [--interval N] [--exclude-stack]
 //!            [--exclude-libs|--track-libs] [--retries N] [--timeout SECS]
-//!            [--peers A,B,C] [--fallback-hint-ms N] [--backoff-cap-ms N]
+//!            [--peers A,B,C]
 //!            | --route | --stats | --metrics | --ping | --shutdown
 //! ```
 //!
@@ -59,8 +59,8 @@ use std::time::Duration;
 use tq_gprof::{GprofOptions, GprofTool};
 use tq_imgproc::{ImgApp, ImgConfig};
 use tq_profd::{
-    AppId, Client, ClientConfig, FleetClient, JobSpec, Request, RetryPolicy, RetryTrail, Scale,
-    Server, ServerConfig, StackPolicy, ToolId,
+    AppId, Client, ClientConfig, FleetClient, JobSpec, Request, RetryTrail, Scale, Server,
+    ServerConfig, StackPolicy, ToolId,
 };
 use tq_quad::{qdu_graph, QuadOptions, QuadTool};
 use tq_report::Json;
@@ -144,11 +144,11 @@ fn known_flags(cmd: &str) -> Option<&'static str> {
         "disasm" => "app scale routine",
         "serve" => {
             "addr workers state-dir cache-mb queue timeout-ms capture-fuel max-conns \
-             read-timeout-ms peers advertise probe-interval-ms"
+             read-timeout-ms peers advertise"
         }
         "submit" => {
-            "addr timeout fallback-hint-ms backoff-cap-ms peers ping shutdown stats metrics \
-             route tool app scale interval exclude-stack exclude-libs track-libs instr retries"
+            "addr timeout peers ping shutdown stats metrics route tool app scale interval \
+             exclude-stack exclude-libs track-libs instr retries"
         }
         _ => return None,
     })
@@ -352,7 +352,7 @@ fn usage() -> String {
      \u{20}               --read-timeout-ms N (0 = never reap idle connections;\n\
      \u{20}               fault injection via TQ_FAULTS=, see docs/OPERATIONS.md)\n\
      \u{20}               --peers A,B,C (join a fleet; cache shards by digest)\n\
-     \u{20}               --advertise HOST:PORT --probe-interval-ms N\n\
+     \u{20}               --advertise HOST:PORT\n\
      \u{20}               structured event log filter via TQ_LOG=off|error|warn|\n\
      \u{20}               info|debug|trace (any other value exits 1), see docs\n\
      submit options: --addr HOST:PORT --tool tquad|quad|gprof|phases --app --scale\n\
@@ -361,7 +361,6 @@ fn usage() -> String {
      \u{20}               --retries N (resubmit with backoff on busy responses)\n\
      \u{20}               --timeout SECS (connect/read socket timeouts)\n\
      \u{20}               --peers A,B,C (route to the ring owner, with failover)\n\
-     \u{20}               --fallback-hint-ms N --backoff-cap-ms N (retry tuning)\n\
      \u{20}               (or one of: --route --stats --metrics --ping --shutdown;\n\
      \u{20}               --stats/--metrics ask the --addr node only;\n\
      \u{20}               exit 3 = job finally failed after exhausting retries;\n\
@@ -796,10 +795,6 @@ fn run(argv: &[String]) -> Result<(), Failure> {
                 // the ring when the bind address is not it (port 0, NAT).
                 peers: peers_arg(&args),
                 advertise: args.get("advertise").map(str::to_string),
-                probe_interval: Duration::from_millis(args.positive_u64_or(
-                    "probe-interval-ms",
-                    defaults.probe_interval.as_millis() as u64,
-                )?),
             };
             // Fault plans only arm the long-running service, never the
             // one-shot subcommands: rehearsing failure is a server
@@ -858,20 +853,9 @@ fn run(argv: &[String]) -> Result<(), Failure> {
                         .unwrap_or(630),
                 )?,
             );
-            // Backoff tuning (satellite knobs over RetryPolicy; the
-            // defaults are the service's long-standing behaviour).
-            let retry = RetryPolicy {
-                fallback_hint_ms: args
-                    .positive_u64_or("fallback-hint-ms", RetryPolicy::default().fallback_hint_ms)?,
-                backoff_cap: Duration::from_millis(args.positive_u64_or(
-                    "backoff-cap-ms",
-                    RetryPolicy::default().backoff_cap.as_millis() as u64,
-                )?),
-            };
             let config = ClientConfig {
                 connect_timeout: client_defaults.connect_timeout.min(timeout),
                 read_timeout: Some(timeout),
-                retry,
             };
             // `--peers a,b,c` switches routing on: jobs go to the ring
             // owner of their content digest, with failover. The fleet

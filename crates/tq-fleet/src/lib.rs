@@ -1,35 +1,23 @@
-//! # tq-fleet — multi-instance coordination for the profiling service
+//! # tq-fleet — consistent-hash placement for the profiling service
 //!
-//! One `tq-profd` daemon's capture cache and worker pool cap out long
-//! before "millions of users". This crate is the coordination layer that
-//! lets N daemons act as one service without duplicating the expensive
-//! asset — the content-addressed capture cache:
-//!
-//! * [`Ring`] — a deterministic consistent-hash ring over the existing
-//!   `JobSpec` content digests. Every capture has exactly one *owning*
-//!   node, so the fleet's cache **shards** instead of replicating: a job
-//!   routed to its owner hits that node's cache, a job landing elsewhere
-//!   is served by *peeking* the owner's capture over the wire rather than
-//!   re-recording it. The ring is a pure function of the member list —
-//!   every node and every client computes the identical routing table
-//!   with no coordinator and no gossip.
-//! * [`Roster`] — a static membership table with lightweight health
-//!   states, fed by whatever probing the embedding service performs
-//!   (`tq-profd` pings peers over its existing JSON-lines protocol).
-//!   Consecutive probe failures demote a peer `Alive` → `Suspect` →
-//!   `Dead`; any success restores it. The roster also remembers each
-//!   peer's last reported load so "redirect to the least-loaded live
-//!   peer" is answerable locally.
+//! A fleet of `tq-profd` daemons records each capture once: on the ring
+//! owner of its workload digest. [`Ring`] is a deterministic
+//! consistent-hash ring over the existing `JobSpec` content digests.
+//! Every capture has exactly one *owning* node, so the fleet's cache
+//! **shards** instead of replicating: a job routed to its owner hits that
+//! node's cache, a job landing elsewhere is served by *peeking* the
+//! owner's capture over the wire rather than re-recording it. The ring is
+//! a pure function of the member list — every node and every client
+//! computes the identical routing table with no coordinator and no
+//! gossip.
 //!
 //! The crate is deliberately **zero-dependency and transport-free**: it
-//! decides *where* work should go and *who* looks healthy, never moves
-//! bytes itself. `tq-profd::fleet` owns the sockets.
+//! decides *where* work should go, never moves bytes itself.
+//! `tq-profd::fleet` owns the sockets.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 mod ring;
-mod roster;
 
 pub use ring::{hash64, Ring};
-pub use roster::{Health, PeerState, Roster};

@@ -4,42 +4,29 @@
 //! connects and reads are bounded by [`ClientConfig`] timeouts (a dead
 //! server address fails fast instead of hanging forever), and
 //! [`Client::submit_with_retry`] resubmits after `busy` responses with
-//! capped exponential backoff, jittered by `tq_isa::prng` so a stampede of
-//! shed clients does not return in lockstep. Backoff shape is an explicit
-//! [`RetryPolicy`] so the fleet bench and operators can tune it.
+//! exponential backoff seeded by the server's `retry_after_ms` hint,
+//! jittered by `tq_isa::prng` so a stampede of shed clients does not
+//! return in lockstep, and capped at 2 s per sleep.
 //!
 //! [`FleetClient`] layers routing on top: it computes the same
 //! consistent-hash ring as the servers (`tq-fleet`), submits each job to
-//! its owner first, honors `redirect_to` hints on `busy`, and fails over
-//! around dead or shedding peers.
+//! its owner first, and walks the ring around dead or shedding peers.
 
 use crate::apps::{AppId, Scale, Workload};
 use crate::protocol::{hex_decode, JobSpec, Request, Response, PEEK_FRAME_BYTES};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
-use tq_fleet::{Ring, Roster};
+use tq_fleet::Ring;
 use tq_report::Json;
 
-/// Backoff shape for resubmission after `busy`/shed responses.
-#[derive(Clone, Debug)]
-pub struct RetryPolicy {
-    /// Hint to assume when a response carries no `retry_after_ms` (e.g.
-    /// the transport died before the server could answer).
-    pub fallback_hint_ms: u64,
-    /// Upper bound on one backoff sleep.
-    pub backoff_cap: Duration,
-}
+/// Backoff hint to assume when a response carries no `retry_after_ms`
+/// (e.g. the transport died before the server could answer).
+const FALLBACK_HINT_MS: u64 = 50;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            fallback_hint_ms: 50,
-            backoff_cap: Duration::from_secs(2),
-        }
-    }
-}
+/// Upper bound on one backoff sleep, jitter included.
+const BACKOFF_CAP_MS: u64 = 2_000;
 
 /// Client-side socket policy.
 #[derive(Clone, Debug)]
@@ -50,8 +37,6 @@ pub struct ClientConfig {
     /// wait forever). Must exceed the server's per-job reply timeout or
     /// slow cold jobs will be misreported as transport errors.
     pub read_timeout: Option<Duration>,
-    /// Backoff shape for [`Client::submit_with_retry`].
-    pub retry: RetryPolicy,
 }
 
 impl Default for ClientConfig {
@@ -61,7 +46,6 @@ impl Default for ClientConfig {
             // The server's default job timeout is 600s; leave headroom so
             // the server's own timeout error reaches us first.
             read_timeout: Some(Duration::from_secs(630)),
-            retry: RetryPolicy::default(),
         }
     }
 }
@@ -274,13 +258,6 @@ impl Client {
         &self.addr
     }
 
-    /// One backoff sleep: exponential in the attempt number, seeded by the
-    /// server's `retry_after_ms` hint, capped per [`RetryPolicy`], and
-    /// jittered ±50% so shed clients spread out instead of re-stampeding.
-    fn backoff(&mut self, hint_ms: u64, attempt: u32) {
-        backoff_sleep(&self.config.retry, &mut self.rng, hint_ms, attempt);
-    }
-
     /// Submit a job, resubmitting up to `retries` times when the server
     /// sheds us — a `busy` response (queue full, connection limit) or a
     /// dropped connection. Sleeps between attempts per the backoff policy,
@@ -296,9 +273,6 @@ impl Client {
     }
 
     /// [`Client::submit_with_retry`], recording every attempt into `trail`.
-    /// A `busy` response carrying a `redirect_to` hint moves the retry to
-    /// the hinted peer (the server names its least-loaded live fleet
-    /// sibling); if the hinted peer is unreachable the client stays put.
     pub fn submit_with_retry_trail(
         &mut self,
         spec: JobSpec,
@@ -315,18 +289,11 @@ impl Client {
                 attempt: u64::from(attempt),
             });
             trail.note_elapsed(started);
-            let (hint_ms, redirect, err) = match result {
+            let (hint_ms, err) = match result {
                 Ok(resp) if resp.is_busy() => {
-                    let hint = resp
-                        .retry_after_ms()
-                        .unwrap_or(self.config.retry.fallback_hint_ms);
+                    let hint = resp.retry_after_ms().unwrap_or(FALLBACK_HINT_MS);
                     trail.last_retry_after_ms = Some(hint);
-                    let redirect = resp.redirect_to().map(str::to_string);
-                    (
-                        hint,
-                        redirect,
-                        resp.error().unwrap_or("server busy").to_string(),
-                    )
+                    (hint, resp.error().unwrap_or("server busy").to_string())
                 }
                 Ok(resp) => {
                     let parsed = Self::parse_submit(resp, trail);
@@ -338,29 +305,19 @@ impl Client {
                 // Transport failure: the server may have shed the whole
                 // connection (max-conns reject closes it) or died; only a
                 // reconnect can tell.
-                Err(e) => (self.config.retry.fallback_hint_ms, None, e),
+                Err(e) => (FALLBACK_HINT_MS, e),
             };
             trail.last_error = Some(err.clone());
             if attempt >= retries {
                 return Err(format!("giving up after {attempt} retries: {err}"));
             }
-            self.backoff(hint_ms, attempt);
+            std::thread::sleep(backoff(&mut self.rng, hint_ms, attempt));
             attempt += 1;
             tq_obs::counter(
                 "tq_profd_client_retries_total",
                 "Submissions this client retried after busy/shed responses",
             )
             .inc();
-            if let Some(peer) = redirect.filter(|p| *p != self.addr) {
-                // Follow the server's hint to its less-loaded sibling; if
-                // the sibling is unreachable, fall back to where we were.
-                let old = std::mem::replace(&mut self.addr, peer);
-                if self.reconnect().is_err() {
-                    self.addr = old;
-                    let _ = self.reconnect();
-                }
-                continue;
-            }
             // Best effort: if the old connection is gone, replace it. A
             // failed reconnect burns this attempt and backs off again.
             if self.ping().is_err() {
@@ -439,15 +396,15 @@ impl Client {
             .get("total_bytes")
             .and_then(Json::as_u64)
             .ok_or("peek header missing `total_bytes`")? as usize;
-        // The declared sizes must be mutually consistent before any
-        // allocation happens — a lying header cannot make us reserve more
-        // than the frames it is about to send could ever fill.
         if total.div_ceil(PEEK_FRAME_BYTES).max(1) != frames.max(1) {
             return Err(format!(
                 "peek header inconsistent: {frames} frames for {total} bytes"
             ));
         }
-        let mut bytes = Vec::with_capacity(total);
+        // The buffer grows only as frames arrive: a header is a peer's
+        // claim, and reserving what it declares would let one line make
+        // this process allocate (and abort on) any size it names.
+        let mut bytes = Vec::new();
         for i in 0..frames {
             let mut line = String::new();
             match self.reader.read_line(&mut line) {
@@ -479,11 +436,16 @@ impl Client {
     }
 }
 
-fn backoff_sleep(policy: &RetryPolicy, rng: &mut tq_isa::prng::Rng, hint_ms: u64, attempt: u32) {
-    let base_ms = hint_ms.max(1).saturating_mul(1u64 << attempt.min(16));
-    let capped_ms = base_ms.min(policy.backoff_cap.as_millis() as u64);
-    let jittered = (capped_ms as f64 * rng.f64_in(0.5, 1.5)).max(1.0);
-    std::thread::sleep(Duration::from_millis(jittered as u64));
+/// One backoff sleep: exponential in the attempt number, seeded by the
+/// server's `retry_after_ms` hint, jittered ±50% so shed clients spread
+/// out instead of re-stampeding, and capped last at [`BACKOFF_CAP_MS`].
+fn backoff(rng: &mut tq_isa::prng::Rng, hint_ms: u64, attempt: u32) -> Duration {
+    let base_ms = hint_ms
+        .max(1)
+        .saturating_mul(1u64 << attempt.min(16))
+        .min(BACKOFF_CAP_MS);
+    let jittered = (base_ms as f64 * rng.f64_in(0.5, 1.5)) as u64;
+    Duration::from_millis(jittered.clamp(1, BACKOFF_CAP_MS))
 }
 
 /// Errors that justify trying the next ring node instead of giving up:
@@ -505,15 +467,17 @@ fn is_failover_error(err: &str) -> bool {
 /// Builds the same consistent-hash ring as the servers (`tq-fleet` is
 /// deterministic on the sorted member list, so client and servers agree
 /// without any coordination), routes each job to the owner of its content
-/// digest first, and walks the ring on failure: dead peers are remembered
-/// in a local [`Roster`] and skipped, shedding peers ("shed: …" errors,
-/// which the server sends when shutting down) trigger immediate failover,
-/// and `busy` responses burn a bounded number of backoff retries before
-/// moving on. Digest computation builds the workload once per
-/// `(app, scale)` and is memoized.
+/// digest first, and walks the ring on failure: peers whose connection
+/// failed are remembered as dead and skipped by later submits, shedding
+/// peers ("shed: …" errors, which the server sends when shutting down)
+/// trigger immediate failover, and `busy` responses burn a bounded number
+/// of backoff retries before moving on. Digest computation builds the
+/// workload once per `(app, scale)` and is memoized.
 pub struct FleetClient {
     ring: Ring,
-    roster: Roster,
+    /// Members whose connect or request failed; skipped until every
+    /// member is in the set, which then clears.
+    dead: HashSet<String>,
     config: ClientConfig,
     conns: HashMap<String, Client>,
     digests: HashMap<(AppId, Scale), String>,
@@ -527,7 +491,7 @@ impl FleetClient {
         FleetClient::with_config(members, ClientConfig::default())
     }
 
-    /// A fleet client with explicit socket/backoff policy.
+    /// A fleet client with explicit socket policy.
     pub fn with_config(members: Vec<String>, config: ClientConfig) -> FleetClient {
         let mut seed = 0xF1EE_7C11u64 ^ u64::from(std::process::id());
         for m in &members {
@@ -536,8 +500,8 @@ impl FleetClient {
             }
         }
         FleetClient {
-            ring: Ring::new(members.clone()),
-            roster: Roster::new(members),
+            ring: Ring::new(members),
+            dead: HashSet::new(),
             config,
             conns: HashMap::new(),
             digests: HashMap::new(),
@@ -592,19 +556,23 @@ impl FleetClient {
         let budget = retries.saturating_add(1); // total attempts allowed
         let mut spent: u32 = 0;
         let mut last_err = String::from("no live fleet member reachable");
-        // Walk the ring repeatedly until the attempt budget runs out; a
-        // full pass with every peer dead resets the roster so a recovered
-        // peer gets another look instead of permanent exile.
+        // Walk the ring repeatedly until the attempt budget runs out.
         while spent < budget {
-            let mut touched_any = false;
+            if route.iter().all(|addr| self.dead.contains(addr)) {
+                // Every member looked dead: forget the verdicts and retry
+                // from scratch (the alternative is failing without ever
+                // re-checking a peer that may have restarted).
+                self.dead.clear();
+                spent += 1;
+                continue;
+            }
             for addr in &route {
                 if spent >= budget {
                     break;
                 }
-                if !self.roster.is_live(addr) {
+                if self.dead.contains(addr) {
                     continue;
                 }
-                touched_any = true;
                 let connect_started = Instant::now();
                 let client = match self.connection(addr) {
                     Ok(c) => c,
@@ -615,7 +583,7 @@ impl FleetClient {
                         trail.note_elapsed(connect_started);
                         trail.last_error = Some(e.clone());
                         last_err = format!("{addr}: {e}");
-                        self.roster.mark_dead(addr);
+                        self.dead.insert(addr.clone());
                         continue;
                     }
                 };
@@ -630,42 +598,17 @@ impl FleetClient {
                 trail.note_elapsed(started);
                 match result {
                     Ok(resp) if resp.is_busy() => {
-                        let hint = resp
-                            .retry_after_ms()
-                            .unwrap_or(self.config.retry.fallback_hint_ms);
+                        let hint = resp.retry_after_ms().unwrap_or(FALLBACK_HINT_MS);
                         trail.last_retry_after_ms = Some(hint);
                         last_err = format!("{addr}: {}", resp.error().unwrap_or("server busy"));
                         trail.last_error = Some(last_err.clone());
-                        self.roster.record_success(addr, u64::MAX, u64::MAX);
-                        let next = resp.redirect_to().map(str::to_string);
-                        backoff_sleep(&self.config.retry, &mut self.rng, hint, spent.min(8));
-                        // A redirect hint names a less-loaded sibling: jump
-                        // there next instead of continuing in ring order —
-                        // but only if it is one of ours and alive.
-                        if let Some(hinted) = next {
-                            if hinted != *addr
-                                && route.contains(&hinted)
-                                && self.roster.is_live(&hinted)
-                                && spent < budget
-                            {
-                                if let Ok((json, cached)) =
-                                    self.try_once(&hinted, &spec, spent, trail)
-                                {
-                                    return Ok((json, cached, hinted));
-                                }
-                                spent += 1;
-                            }
-                        }
+                        std::thread::sleep(backoff(&mut self.rng, hint, spent.min(8)));
                     }
                     Ok(resp) => match Client::parse_submit(resp, trail) {
-                        Ok((json, cached)) => {
-                            self.roster.record_success(addr, 0, 0);
-                            return Ok((json, cached, addr.clone()));
-                        }
+                        Ok((json, cached)) => return Ok((json, cached, addr.clone())),
                         Err(e) if is_failover_error(&e) => {
                             last_err = format!("{addr}: {e}");
                             trail.last_error = Some(last_err.clone());
-                            self.roster.record_failure(addr);
                             self.conns.remove(addr);
                         }
                         // The job failed on its merits; every peer would
@@ -678,61 +621,85 @@ impl FleetClient {
                     Err(e) => {
                         last_err = format!("{addr}: {e}");
                         trail.last_error = Some(last_err.clone());
-                        self.roster.mark_dead(addr);
+                        self.dead.insert(addr.clone());
                         self.conns.remove(addr);
                     }
                 }
             }
-            if !touched_any {
-                // Every member looked dead: forget the verdicts and retry
-                // from scratch (the alternative is failing without ever
-                // re-checking a peer that may have restarted).
-                self.roster = Roster::new(route.clone());
-                spent += 1;
-            }
         }
         Err(format!("giving up after {spent} attempts: {last_err}"))
     }
+}
 
-    /// One single-shot submit against a specific peer (used to chase a
-    /// redirect hint). Failures are recorded but never fatal — the caller
-    /// resumes its ring walk.
-    fn try_once(
-        &mut self,
-        addr: &str,
-        spec: &JobSpec,
-        attempt: u32,
-        trail: &mut RetryTrail,
-    ) -> Result<(Json, bool), String> {
-        trail.attempts += 1;
-        trail.note_peer(addr);
-        let connect_started = Instant::now();
-        let client = match self.connection(addr) {
-            Ok(c) => c,
-            Err(e) => {
-                trail.note_elapsed(connect_started);
-                self.roster.mark_dead(addr);
-                return Err(e);
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn backoff_sleep_never_exceeds_its_cap() {
+        let mut shortest_at_cap = u128::MAX;
+        for seed in 0..500 {
+            let mut rng = tq_isa::prng::Rng::new(seed);
+            for hint in [
+                0,
+                1,
+                25,
+                FALLBACK_HINT_MS,
+                999,
+                1_500,
+                2_000,
+                5_000,
+                u64::MAX,
+            ] {
+                for attempt in 0..=20 {
+                    let ms = backoff(&mut rng, hint, attempt).as_millis();
+                    assert!(
+                        (1..=u128::from(BACKOFF_CAP_MS)).contains(&ms),
+                        "hint {hint} attempt {attempt} seed {seed}: slept {ms} ms"
+                    );
+                    if hint >= BACKOFF_CAP_MS {
+                        shortest_at_cap = shortest_at_cap.min(ms);
+                    }
+                }
             }
-        };
-        let started = Instant::now();
-        let result = client.request(&Request::Submit {
-            spec: spec.clone(),
-            attempt: u64::from(attempt),
-        });
-        trail.note_elapsed(started);
-        let resp = match result {
-            Ok(r) => r,
-            Err(e) => {
-                self.roster.mark_dead(addr);
-                self.conns.remove(addr);
-                return Err(e);
-            }
-        };
-        if resp.is_busy() {
-            trail.last_retry_after_ms = resp.retry_after_ms().or(trail.last_retry_after_ms);
-            return Err(resp.error().unwrap_or("server busy").to_string());
         }
-        Client::parse_submit(resp, trail)
+        assert!(
+            shortest_at_cap < u128::from(BACKOFF_CAP_MS) * 3 / 4,
+            "jitter still spreads sleeps below the cap"
+        );
+    }
+
+    #[test]
+    fn a_peek_header_declaring_a_huge_transfer_is_an_error_not_an_abort() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake owner");
+        let addr = listener.local_addr().expect("local addr").to_string();
+        let digest = "00112233445566778899aabbccddeeff";
+        // Sizes that agree with each other, so only the allocation they
+        // would ask for is wrong.
+        let total: u64 = 1 << 60;
+        let frames = total.div_ceil(PEEK_FRAME_BYTES as u64);
+        let owner = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accept");
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            let mut request = String::new();
+            reader.read_line(&mut request).expect("read peek request");
+            let mut header = Response::ok([
+                ("found", Json::from(true)),
+                ("digest", Json::from(digest)),
+                ("frames", Json::from(frames)),
+                ("total_bytes", Json::from(total)),
+            ])
+            .encode();
+            header.push('\n');
+            let mut writer = stream;
+            writer.write_all(header.as_bytes()).expect("send header");
+            // Dropping the stream closes the connection before any frame.
+        });
+        let mut client = Client::connect(&addr).expect("connect fake owner");
+        let got = client.peek_fetch(AppId::Wfs, Scale::Tiny, digest);
+        owner.join().expect("fake owner thread");
+        let err = got.expect_err("a header with no frames behind it is an error");
+        assert!(err.contains("closed mid-peek"), "{err}");
     }
 }

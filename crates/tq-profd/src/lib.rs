@@ -54,8 +54,8 @@ pub mod stats;
 
 pub use apps::{AppId, Scale, Workload};
 pub use cache::CaptureStore;
-pub use client::{Client, ClientConfig, FleetClient, RetryPolicy, RetryTrail};
-pub use fleet::{FleetConfig, FleetState};
+pub use client::{Client, ClientConfig, FleetClient, RetryTrail};
+pub use fleet::FleetState;
 pub use protocol::{
     hex_decode, hex_encode, JobSpec, Request, Response, StackPolicy, ToolId, PEEK_FRAME_BYTES,
 };

@@ -377,19 +377,6 @@ impl Response {
     pub fn retry_after_ms(&self) -> Option<u64> {
         self.0.get("retry_after_ms").and_then(Json::as_u64)
     }
-
-    /// Attach a fleet redirect hint to a `busy` response: the address of
-    /// the least-loaded live peer the shed client should resubmit to.
-    pub fn with_redirect(mut self, addr: &str) -> Response {
-        self.0.set("redirect_to", Json::from(addr));
-        self
-    }
-
-    /// The peer a `busy` response suggests resubmitting to, if the
-    /// server is part of a fleet and had a live peer to hint at.
-    pub fn redirect_to(&self) -> Option<&str> {
-        self.0.get("redirect_to").and_then(Json::as_str)
-    }
 }
 
 /// Raw capture bytes per frame of a `peek` transfer. Hex doubles
@@ -584,14 +571,9 @@ mod tests {
         assert!(!b.is_ok());
         assert!(b.is_busy());
         assert_eq!(b.retry_after_ms(), Some(150));
-        assert_eq!(b.redirect_to(), None);
         let back = Response::decode(&b.encode()).unwrap();
         assert!(back.is_busy(), "busy survives the wire");
         assert_eq!(back.retry_after_ms(), Some(150));
-
-        let r = Response::busy("queue full", 150).with_redirect("127.0.0.1:7472");
-        let back = Response::decode(&r.encode()).unwrap();
-        assert_eq!(back.redirect_to(), Some("127.0.0.1:7472"));
     }
 
     #[test]

@@ -33,7 +33,7 @@
 use crate::apps::{AppId, Scale, Workload};
 use crate::cache::{CaptureSource, CaptureStore};
 use crate::exec::{record_capture, run_tool};
-use crate::fleet::{FleetConfig, FleetState};
+use crate::fleet::FleetState;
 use crate::protocol::{hex_encode, JobSpec, Request, Response, PEEK_FRAME_BYTES};
 use crate::stats::ServiceStats;
 use std::collections::{HashMap, VecDeque};
@@ -77,15 +77,13 @@ pub struct ServerConfig {
     /// connections and read-stalled requests.
     pub read_timeout: Option<Duration>,
     /// Advertised addresses of the *other* fleet members. Empty = this
-    /// node serves alone (no ring, no probing, no redirects).
+    /// node serves alone (no ring, no peeks).
     pub peers: Vec<String>,
     /// This node's own advertised address — its name on the consistent-
     /// hash ring, which must match what peers list in their `--peers`.
     /// `None` uses the bound listen address (fine when `addr` is concrete;
     /// required when binding port 0 behind a fixed roster).
     pub advertise: Option<String>,
-    /// Pause between fleet health-probe rounds.
-    pub probe_interval: Duration,
 }
 
 impl Default for ServerConfig {
@@ -104,7 +102,6 @@ impl Default for ServerConfig {
             read_timeout: Some(Duration::from_secs(300)),
             peers: Vec::new(),
             advertise: None,
-            probe_interval: Duration::from_millis(500),
         }
     }
 }
@@ -667,22 +664,7 @@ fn worker_loop(shared: &Shared) {
 
 fn handle_request(shared: &Arc<Shared>, addr: SocketAddr, req: Request) -> (Response, bool) {
     match req {
-        Request::Ping => (
-            // Load rides along so one cheap ping doubles as a fleet
-            // health-and-load probe.
-            Response::ok([
-                ("pong", Json::from(true)),
-                (
-                    "queue_len",
-                    Json::from(lock(&shared.queue).jobs.len() as u64),
-                ),
-                (
-                    "busy_workers",
-                    Json::from(shared.busy.load(Ordering::SeqCst) as u64),
-                ),
-            ]),
-            false,
-        ),
+        Request::Ping => (Response::ok([("pong", Json::from(true))]), false),
         Request::Stats => (Response::ok([("stats", shared.stats_json())]), false),
         // Never reaches here: connection_loop streams every peek's frames
         // straight onto the socket.
@@ -736,22 +718,15 @@ fn handle_request(shared: &Arc<Shared>, addr: SocketAddr, req: Request) -> (Resp
                 Ok(()) => {}
                 Err(PushError::Busy { retry_after_ms }) => {
                     lock(&shared.stats).rejects += 1;
-                    let mut resp =
-                        Response::busy("queue full: job shed, retry later", retry_after_ms);
-                    // In a fleet, tell the shed client *where* to go: the
-                    // least-loaded live sibling by the latest probes.
-                    if let Some(hint) = shared.fleet.as_ref().and_then(FleetState::redirect_hint) {
-                        resp = resp.with_redirect(&hint);
-                    }
                     tq_obs::log::warn(
                         LOG,
                         "overload_shed",
-                        &[
-                            ("retry_after_ms", retry_after_ms.into()),
-                            ("redirect_to", resp.redirect_to().unwrap_or_default().into()),
-                        ],
+                        &[("retry_after_ms", retry_after_ms.into())],
                     );
-                    return (resp, false);
+                    return (
+                        Response::busy("queue full: job shed, retry later", retry_after_ms),
+                        false,
+                    );
                 }
                 Err(PushError::Closed) => {
                     lock(&shared.stats).jobs_failed += 1;
@@ -870,12 +845,10 @@ pub struct Server {
     shared: Arc<Shared>,
     acceptor: std::thread::JoinHandle<()>,
     workers: Vec<std::thread::JoinHandle<()>>,
-    prober: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Server {
-    /// Bind and start: acceptor plus `config.workers` replay workers, and
-    /// (when `config.peers` is non-empty) the fleet prober.
+    /// Bind and start: acceptor plus `config.workers` replay workers.
     pub fn start(config: ServerConfig) -> Result<Server, String> {
         let listener =
             TcpListener::bind(&config.addr).map_err(|e| format!("bind {}: {e}", config.addr))?;
@@ -888,9 +861,7 @@ impl Server {
             None
         } else {
             let self_addr = config.advertise.clone().unwrap_or_else(|| addr.to_string());
-            let mut fc = FleetConfig::new(self_addr, config.peers.clone());
-            fc.probe_interval = config.probe_interval;
-            Some(FleetState::new(fc))
+            Some(FleetState::new(self_addr, config.peers.clone()))
         };
         let shared = Arc::new(Shared {
             store: CaptureStore::new(config.state_dir.clone(), config.cache_bytes),
@@ -908,35 +879,6 @@ impl Server {
             replying: Mutex::new(0),
             replied: Condvar::new(),
         });
-
-        let prober = match &shared.fleet {
-            None => None,
-            Some(f) => {
-                let interval = f.probe_interval();
-                let shared = Arc::clone(&shared);
-                Some(
-                    std::thread::Builder::new()
-                        .name("tq-profd-prober".into())
-                        .spawn(move || {
-                            tq_obs::set_thread_name("tq-profd-prober");
-                            while !shared.shutdown.load(Ordering::SeqCst) {
-                                if let Some(f) = &shared.fleet {
-                                    f.probe_once();
-                                }
-                                // Sleep in small slices so shutdown is not
-                                // held up by a long probe interval.
-                                let deadline = Instant::now() + interval;
-                                while Instant::now() < deadline
-                                    && !shared.shutdown.load(Ordering::SeqCst)
-                                {
-                                    std::thread::sleep(Duration::from_millis(25));
-                                }
-                            }
-                        })
-                        .map_err(|e| e.to_string())?,
-                )
-            }
-        };
 
         let workers = (0..workers_n)
             .map(|i| {
@@ -984,18 +926,13 @@ impl Server {
                                 "conn_limit",
                                 &[("max_conns", shared.config.max_conns.into())],
                             );
-                            let mut resp = Response::busy(
+                            let resp = Response::busy(
                                 format!(
                                     "connection limit reached ({} open)",
                                     shared.config.max_conns
                                 ),
                                 shared.retry_after_ms(lock(&shared.queue).jobs.len()),
                             );
-                            if let Some(hint) =
-                                shared.fleet.as_ref().and_then(FleetState::redirect_hint)
-                            {
-                                resp = resp.with_redirect(&hint);
-                            }
                             let mut out = resp.encode();
                             out.push('\n');
                             let _ = stream
@@ -1022,7 +959,6 @@ impl Server {
             shared,
             acceptor,
             workers,
-            prober,
         })
     }
 
@@ -1053,9 +989,6 @@ impl Server {
             .map_err(|_| "acceptor panicked".to_string())?;
         for w in self.workers {
             w.join().map_err(|_| "worker panicked".to_string())?;
-        }
-        if let Some(p) = self.prober {
-            p.join().map_err(|_| "prober panicked".to_string())?;
         }
         let shared = &self.shared;
         let _ = shared.replied.wait_timeout_while(

@@ -481,6 +481,20 @@ fn fleet_stale_roster_entry_fails_over() {
         .unwrap_or(0);
     assert!(fetch_failures >= 1, "failed peek is counted: {stats:?}");
 
+    // The client remembers the dead owner: a second submit on the same
+    // client goes straight to the live node.
+    let mut trail = RetryTrail::default();
+    let (again, _, served_by) = fc
+        .submit_with_trail(spec_n(0), 3, &mut trail)
+        .expect("second submit");
+    assert_eq!(again.render(), want, "second profile is byte-identical");
+    assert_eq!(served_by, live);
+    assert_eq!(
+        trail.peers_tried,
+        vec![live.clone()],
+        "the dead owner is skipped: {trail:?}"
+    );
+
     let _ = Client::connect(&live).and_then(|mut c| c.shutdown());
     server.join().expect("clean join");
 }

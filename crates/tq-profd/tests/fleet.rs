@@ -365,13 +365,10 @@ fn stats_figures(stats: &Json) -> Vec<(&'static str, u64)> {
             "tq_fleet_peek_fetch_failures_total",
             fleet("peek_fetch_failures"),
         ),
-        ("tq_fleet_redirects_issued_total", fleet("redirects_issued")),
         (
             "tq_fleet_remote_owned_jobs_total",
             fleet("remote_owned_jobs"),
         ),
-        ("tq_fleet_probe_rounds_total", fleet("probe_rounds")),
-        ("tq_fleet_peers_alive", fleet("peers_alive")),
     ]
 }
 
@@ -408,16 +405,8 @@ fn each_node_renders_its_own_stats_as_metrics() {
                 "{addr}: {family} appears once"
             );
             let got = sample(&metrics, name).unwrap_or_else(|| panic!("{addr}: no {name}"));
-            if name == "tq_fleet_probe_rounds_total" {
-                // The prober ticks on its own clock between the reads.
-                assert!(
-                    was <= got && got <= now,
-                    "{addr}: {name} {was}..{now}, got {got}"
-                );
-            } else {
-                assert_eq!(was, now, "{addr}: {name} moved while idle");
-                assert_eq!(got, was, "{addr}: {name} differs from its stats figure");
-            }
+            assert_eq!(was, now, "{addr}: {name} moved while idle");
+            assert_eq!(got, was, "{addr}: {name} differs from its stats figure");
         }
         let fetches = sample(&metrics, "tq_fleet_peek_fetches_total").unwrap();
         let serves = sample(&metrics, "tq_fleet_peek_serves_total").unwrap();

@@ -54,7 +54,7 @@ fn response_corpus() -> Vec<String> {
     [
         Response::ok([("pong", Json::from(true)), ("queue_len", Json::from(2u64))]),
         Response::err("bad request: JSON error at byte 0: unexpected character"),
-        Response::busy("queue full: job shed, retry later", 250).with_redirect("127.0.0.1:7471"),
+        Response::busy("queue full: job shed, retry later", 250),
         Response::ok([
             ("found", Json::from(true)),
             ("digest", Json::from("00112233445566778899aabbccddeeff")),

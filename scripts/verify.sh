@@ -52,6 +52,21 @@ if ./target/release/tq phases --scale tiny --strategy interval \
 fi
 grep -q -- "--strategy" "$smoke_dir/unknown_flag.err" \
     || { echo "verify: FAIL (unknown-flag error does not name --strategy)"; exit 1; }
+# Health probing and load-aware redirects were removed: their tuning flags
+# are unknown flags. (`timeout` only matters if the serve flag regressed:
+# the check runs before the server binds.)
+if timeout 20 ./target/release/tq serve --addr 127.0.0.1:0 --probe-interval-ms 100 \
+    > /dev/null 2> "$smoke_dir/probe_flag.err"; then
+    echo "verify: FAIL (tq serve --probe-interval-ms must be rejected)"; exit 1
+fi
+grep -q -- "--probe-interval-ms" "$smoke_dir/probe_flag.err" \
+    || { echo "verify: FAIL (unknown-flag error does not name --probe-interval-ms)"; exit 1; }
+if ./target/release/tq submit --ping --backoff-cap-ms 1 \
+    > /dev/null 2> "$smoke_dir/backoff_flag.err"; then
+    echo "verify: FAIL (tq submit --backoff-cap-ms must be rejected)"; exit 1
+fi
+grep -q -- "--backoff-cap-ms" "$smoke_dir/backoff_flag.err" \
+    || { echo "verify: FAIL (unknown-flag error does not name --backoff-cap-ms)"; exit 1; }
 
 echo "==> repro_paper smoke (TQ_SCALE=tiny): the nine artefacts, repo results/ untouched"
 # Run from a scratch cwd: without CARGO_MANIFEST_DIR the bin writes to
@@ -261,7 +276,7 @@ wait "$fleet_a_pid" \
 wait "$fleet_b_pid" \
     || { echo "verify: FAIL (fleet node B unclean exit)"; exit 1; }
 
-echo "==> fleet_load bench gate (redirect/peek/remote-owned counters nonzero)"
+echo "==> fleet_load bench gate (peek/remote-owned counters nonzero, one recording per digest)"
 snapshot_result fleet_load.tsv
 gate_ok=yes
 TQ_BENCH_ITERS=1 cargo bench -q --offline -p tq-bench --bench fleet_load || gate_ok=""
