@@ -6,15 +6,17 @@
 //! representation costs one bit (plus one 512-byte bitmap per touched 4 KiB
 //! page, kept in the shared `SlabMap`). A contiguous range is inserted
 //! with one masked OR per 64-bit bitmap word, so an access or an
-//! equal-writer run costs its word count, not its byte count. The
-//! `unma_sets` bench quantifies both; this module is the production
-//! representation.
+//! equal-writer run costs its word count, not its byte count. The set is
+//! counted only when read out ([`AddressSet::len`] popcounts its pages), so
+//! inserts never count bits. The `unma_sets` bench quantifies both; this
+//! module is the production representation.
 
 use crate::pages::{new_page, SlabMap, PAGE_SHIFT, PAGE_SIZE};
 
 const WORDS_PER_PAGE: usize = PAGE_SIZE / 64;
 
 /// A set of 64-bit byte addresses, one bit per address within 4 KiB pages.
+/// Every page holds at least one address.
 ///
 /// ```
 /// use tq_quad::AddressSet;
@@ -26,7 +28,6 @@ const WORDS_PER_PAGE: usize = PAGE_SIZE / 64;
 #[derive(Clone, Debug, Default)]
 pub struct AddressSet {
     pages: SlabMap<u64, Box<[u64; WORDS_PER_PAGE]>>,
-    len: u64,
 }
 
 impl AddressSet {
@@ -41,13 +42,9 @@ impl AddressSet {
         let off = addr as usize & (PAGE_SIZE - 1);
         let word = &mut self.pages.get_or_insert_with(addr >> PAGE_SHIFT, new_page)[off / 64];
         let mask = 1u64 << (off % 64);
-        if *word & mask == 0 {
-            *word |= mask;
-            self.len += 1;
-            true
-        } else {
-            false
-        }
+        let new = *word & mask == 0;
+        *word |= mask;
+        new
     }
 
     /// Insert a contiguous range `[addr, addr+len)` (one access or run of
@@ -66,24 +63,21 @@ impl AddressSet {
             while bit < stop {
                 let n = (64 - bit % 64).min(stop - bit);
                 let mask = (u64::MAX >> (64 - n)) << (bit % 64);
-                let word = &mut bitmap[bit / 64];
-                self.len += (mask & !*word).count_ones() as u64;
-                *word |= mask;
+                bitmap[bit / 64] |= mask;
                 bit += n;
             }
             a += (stop - off) as u64;
         }
     }
 
-    /// Union another set into this one, page-bitmap-wise (`len` tracks the
-    /// newly set bits). The reduce step for UnMA counters in sharded
-    /// replay: a union of per-shard address sets is exactly the sequential
-    /// set, since addresses dedupe no matter which shard touched them.
+    /// Union another set into this one, page-bitmap-wise. The reduce step
+    /// for UnMA counters in sharded replay: a union of per-shard address
+    /// sets is exactly the sequential set, since addresses dedupe no matter
+    /// which shard touched them.
     pub fn union(&mut self, other: &AddressSet) {
         for (page, src) in other.pages.iter() {
             let dst = self.pages.get_or_insert_with(page, new_page);
             for (d, &s) in dst.iter_mut().zip(src.iter()) {
-                self.len += (s & !*d).count_ones() as u64;
                 *d |= s;
             }
         }
@@ -97,14 +91,19 @@ impl AddressSet {
             .is_some_and(|b| b[off / 64] & (1u64 << (off % 64)) != 0)
     }
 
-    /// Number of addresses in the set.
+    /// Number of addresses in the set: a popcount over every page, so
+    /// read it once per profile, not per access.
     pub fn len(&self) -> u64 {
-        self.len
+        self.pages
+            .iter()
+            .flat_map(|(_, bitmap)| bitmap.iter())
+            .map(|w| w.count_ones() as u64)
+            .sum()
     }
 
-    /// True when empty.
+    /// True when empty (no page was ever touched).
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.pages.len() == 0
     }
 
     /// Approximate heap footprint in bytes (for the ablation bench).

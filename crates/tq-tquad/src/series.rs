@@ -48,6 +48,27 @@ impl SliceEntry {
     pub fn total(&self, include_stack: bool) -> u64 {
         self.read(include_stack) + self.write(include_stack)
     }
+
+    /// Count one access of `bytes` into this entry. Masks pick the
+    /// counters, so the update has no branches.
+    #[inline]
+    pub(crate) fn count(&mut self, is_read: bool, bytes: u64, is_stack: bool) {
+        let read = 0u64.wrapping_sub(is_read as u64);
+        let global = (is_stack as u64).wrapping_sub(1);
+        self.r_incl += bytes & read;
+        self.r_excl += bytes & read & global;
+        self.w_incl += bytes & !read;
+        self.w_excl += bytes & !read & global;
+    }
+
+    /// Add another entry's counters (of the same slice) to this one.
+    #[inline]
+    fn add(&mut self, other: &SliceEntry) {
+        self.r_incl += other.r_incl;
+        self.r_excl += other.r_excl;
+        self.w_incl += other.w_incl;
+        self.w_excl += other.w_excl;
+    }
 }
 
 /// Counter for new (kernel, slice) entries — the tool's per-slice flush
@@ -75,34 +96,35 @@ impl KernelSeries {
         Self::default()
     }
 
-    /// Record an access. `slice` values must arrive in nondecreasing order
-    /// (they do: virtual time is monotonic).
+    /// Record one access: the paper's per-access update. `slice` values
+    /// must arrive in nondecreasing order (they do: virtual time is
+    /// monotonic). A zero-byte access still opens its slice's entry.
     #[inline]
     pub fn record(&mut self, slice: u64, is_read: bool, bytes: u64, is_stack: bool) {
-        let entry = match self.entries.last_mut() {
-            Some(e) if e.slice == slice => e,
+        let mut cell = SliceEntry {
+            slice,
+            ..Default::default()
+        };
+        cell.count(is_read, bytes, is_stack);
+        self.append(cell);
+    }
+
+    /// Append the traffic of one slice: summed into the last entry when
+    /// that entry has the same slice, else pushed as a new entry. The one
+    /// way entries enter a series, so a cell counted in one `append` and
+    /// the same accesses counted in one [`KernelSeries::record`] each give
+    /// equal series.
+    #[inline]
+    pub(crate) fn append(&mut self, cell: SliceEntry) {
+        match self.entries.last_mut() {
+            Some(e) if e.slice == cell.slice => e.add(&cell),
             _ => {
                 debug_assert!(
-                    self.entries.last().is_none_or(|e| e.slice < slice),
+                    self.entries.last().is_none_or(|e| e.slice < cell.slice),
                     "slices must be recorded in order"
                 );
                 slices_flushed().inc();
-                self.entries.push(SliceEntry {
-                    slice,
-                    ..Default::default()
-                });
-                self.entries.last_mut().expect("just pushed")
-            }
-        };
-        if is_read {
-            entry.r_incl += bytes;
-            if !is_stack {
-                entry.r_excl += bytes;
-            }
-        } else {
-            entry.w_incl += bytes;
-            if !is_stack {
-                entry.w_excl += bytes;
+                self.entries.push(cell);
             }
         }
     }
@@ -135,13 +157,9 @@ impl KernelSeries {
                 merged.push(b);
                 j += 1;
             } else {
-                merged.push(SliceEntry {
-                    slice: a.slice,
-                    r_incl: a.r_incl + b.r_incl,
-                    r_excl: a.r_excl + b.r_excl,
-                    w_incl: a.w_incl + b.w_incl,
-                    w_excl: a.w_excl + b.w_excl,
-                });
+                let mut sum = a;
+                sum.add(&b);
+                merged.push(sum);
                 i += 1;
                 j += 1;
             }

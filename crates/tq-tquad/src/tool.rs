@@ -14,12 +14,20 @@
 //! * predicated instructions only reach the analysis routine when their
 //!   predicate held (`INS_InsertPredicatedCall` semantics, enforced by the
 //!   VM).
+//!
+//! The per-access work is kept small: an access in the same (kernel,
+//! slice) cell as the one before costs one kernel compare, one clock
+//! compare and four masked adds into the open cell. The cell goes to the
+//! kernel's [`KernelSeries`] only when the kernel or the slice changes (and
+//! in [`MergeTool::absorb`] and [`TquadTool::into_profile`]), through the
+//! same append [`KernelSeries::record`] uses, so profiles equal those of
+//! one `record` per access.
 
 use crate::callstack::CallStack;
 use crate::options::{LibPolicy, TquadOptions};
 use crate::profile::{KernelProfile, TquadProfile};
 use crate::recon::{reconstruct_series, ReconNote};
-use crate::series::KernelSeries;
+use crate::series::{KernelSeries, SliceEntry};
 use tq_isa::RoutineId;
 use tq_vm::{
     hooks, is_stack_access, Event, HookMask, InsContext, InstrInfo, MergeTool, ProgramInfo,
@@ -35,6 +43,10 @@ pub struct TquadTool {
     names: Vec<String>,
     main_image: Vec<bool>,
     stack: CallStack,
+    /// The top of `stack`, kept in step on entry, return and fork.
+    top: Option<RoutineId>,
+    /// Traffic of the current (kernel, slice) cell, not yet in `series`.
+    cell: OpenCell,
     series: Vec<KernelSeries>,
     calls: Vec<u64>,
     max_icount: u64,
@@ -47,6 +59,32 @@ pub struct TquadTool {
     instr: Option<InstrInfo>,
 }
 
+/// The (kernel, slice) cell accesses currently land in.
+#[derive(Clone, Copy, Debug)]
+struct OpenCell {
+    /// The cell's kernel; `RoutineId::INVALID` when no cell is open.
+    kernel: RoutineId,
+    /// First clock value (`icount - 1`) of the slice.
+    start: u64,
+    /// Clock values in the slice: the interval, unless the top of the
+    /// clock range cuts the slice short (an access at icount 0 has clock
+    /// `u64::MAX`), so the wrapping range test never reaches past it.
+    len: u64,
+    /// The slice's counters so far.
+    counts: SliceEntry,
+}
+
+impl Default for OpenCell {
+    fn default() -> Self {
+        OpenCell {
+            kernel: RoutineId::INVALID,
+            start: 0,
+            len: 0,
+            counts: SliceEntry::default(),
+        }
+    }
+}
+
 impl TquadTool {
     /// New tool with the given options.
     pub fn new(opts: TquadOptions) -> Self {
@@ -56,6 +94,8 @@ impl TquadTool {
             names: Vec::new(),
             main_image: Vec::new(),
             stack: CallStack::new(),
+            top: None,
+            cell: OpenCell::default(),
             series: Vec::new(),
             calls: Vec::new(),
             max_icount: 0,
@@ -69,7 +109,8 @@ impl TquadTool {
     /// sampling `--instr` mode, each kernel series is reconstructed to
     /// full-run shape (see [`crate::recon`]) and the profile carries a
     /// [`ReconNote`]; exact runs pass through untouched.
-    pub fn into_profile(self) -> TquadProfile {
+    pub fn into_profile(mut self) -> TquadProfile {
+        self.flush_cell();
         let gated = self.instr.as_ref().filter(|i| i.slice_len > 0).map(|i| {
             // Anchor the estimator on the true run length, not the
             // last *delivered* event (gating can silence the tail).
@@ -83,22 +124,24 @@ impl TquadTool {
         let kernels: Vec<KernelProfile> = self
             .names
             .into_iter()
+            .zip(self.series)
+            .zip(self.main_image.into_iter().zip(self.calls))
             .enumerate()
-            .map(|(i, name)| {
+            .map(|(i, ((name, series), (main_image, calls)))| {
                 let series = match &gated {
                     Some(info) => {
-                        let (s, f, m) = reconstruct_series(&self.series[i], interval, info);
+                        let (s, f, m) = reconstruct_series(&series, interval, info);
                         filled += f;
                         measured += m;
                         s
                     }
-                    None => self.series[i].clone(),
+                    None => series,
                 };
                 KernelProfile {
                     rtn: RoutineId(i as u32),
                     name,
-                    main_image: self.main_image[i],
-                    calls: self.calls[i],
+                    main_image,
+                    calls,
                     series,
                 }
             })
@@ -124,7 +167,7 @@ impl TquadTool {
     /// before any tracked entry.
     #[inline]
     fn attribute(&self, static_rtn: RoutineId) -> Option<RoutineId> {
-        match self.stack.current() {
+        match self.top {
             Some(k) => Some(k),
             None => {
                 if static_rtn != RoutineId::INVALID && self.tracked[static_rtn.idx()] {
@@ -136,7 +179,7 @@ impl TquadTool {
         }
     }
 
-    #[inline]
+    #[inline(always)]
     fn record(
         &mut self,
         static_rtn: RoutineId,
@@ -159,9 +202,64 @@ impl TquadTool {
             self.dropped_accesses += 1;
             return;
         };
-        let slice = (icount - 1) / self.opts.slice_interval;
+        let clock = icount.wrapping_sub(1);
         let is_stack = is_stack_access(ea, sp);
-        self.series[kernel.idx()].record(slice, is_read, size as u64, is_stack);
+        let cell = &mut self.cell;
+        if kernel == cell.kernel && clock.wrapping_sub(cell.start) < cell.len {
+            cell.counts.count(is_read, size as u64, is_stack);
+        } else {
+            self.count_in_new_cell(kernel, clock, is_read, size, is_stack);
+        }
+    }
+
+    /// [`TquadTool::record`]'s path for an access outside the open cell:
+    /// close that cell, open the access's own and count the access there.
+    /// Kept out of line so the in-cell path saves no registers.
+    #[cold]
+    #[inline(never)]
+    fn count_in_new_cell(
+        &mut self,
+        kernel: RoutineId,
+        clock: u64,
+        is_read: bool,
+        size: u32,
+        is_stack: bool,
+    ) {
+        self.flush_cell();
+        let interval = self.opts.slice_interval;
+        let slice = clock / interval;
+        let start = slice * interval;
+        self.cell = OpenCell {
+            kernel,
+            start,
+            len: (u64::MAX - start).min(interval - 1) + 1,
+            counts: SliceEntry {
+                slice,
+                ..Default::default()
+            },
+        };
+        self.cell.counts.count(is_read, size as u64, is_stack);
+    }
+
+    /// `EnterFC`: `flag` says whether the function is in the main image;
+    /// untracked routines never get a frame. Kept out of line: pushing a
+    /// frame may grow the stack, and that call would make every event
+    /// save registers.
+    #[inline(never)]
+    fn enter(&mut self, rtn: RoutineId, sp: u64) {
+        if self.tracked[rtn.idx()] {
+            self.stack.enter(rtn, sp);
+            self.top = Some(rtn);
+            self.calls[rtn.idx()] += 1;
+        }
+    }
+
+    /// Append the open cell, if any, to its kernel's series.
+    fn flush_cell(&mut self) {
+        let cell = std::mem::take(&mut self.cell);
+        if cell.kernel != RoutineId::INVALID {
+            self.series[cell.kernel.idx()].append(cell.counts);
+        }
     }
 }
 
@@ -247,16 +345,13 @@ impl Tool for TquadTool {
             }
             Event::RoutineEnter { rtn, sp, icount } => {
                 self.max_icount = icount;
-                // EnterFC: `flag` says whether the function is in the main
-                // image; untracked routines never get a frame.
-                if self.tracked[rtn.idx()] {
-                    self.stack.enter(rtn, sp);
-                    self.calls[rtn.idx()] += 1;
-                }
+                self.enter(rtn, sp);
             }
             Event::Ret { rtn, icount, .. } => {
                 self.max_icount = icount;
-                self.stack.ret_in(rtn);
+                if self.stack.ret_in(rtn).is_some() {
+                    self.top = self.stack.current();
+                }
             }
             Event::Call { .. } | Event::Tick { .. } => {}
         }
@@ -278,14 +373,17 @@ impl MergeTool for TquadTool {
         for &(rtn, sp) in ctx.frames(self.opts.lib_policy == LibPolicy::Track) {
             t.stack.enter(rtn, sp);
         }
+        t.top = t.stack.current();
         Box::new(t)
     }
 
     fn absorb(&mut self, other: Box<dyn MergeTool>) {
-        let other = other
+        let mut other = other
             .into_any()
             .downcast::<TquadTool>()
             .expect("absorb: shard is not a TquadTool");
+        self.flush_cell();
+        other.flush_cell();
         self.max_icount = self.max_icount.max(other.max_icount);
         self.dropped_accesses += other.dropped_accesses;
         self.prefetches_ignored += other.prefetches_ignored;
